@@ -21,7 +21,7 @@ from . import convolution as cv
 from . import copulas as cp
 from . import extremes as ex
 from . import gaussian as ga
-from .distributions import GridBDF, GridUDF, materialize
+from .distributions import CoupledBDF, GridBDF, GridUDF, materialize
 from .serialize import (
     bdf_to_obj,
     dump_json,
@@ -233,7 +233,6 @@ def _cmd_build(args):
         C = parse_copula(args.spec)
         m1 = parse_marginal(args.marginal1)
         m2 = parse_marginal(args.marginal2 or args.marginal1)
-        from .distributions import CoupledBDF
         F = CoupledBDF(C, m1, m2)
         grid = _ensure_grid_bdf(F, args.grid)
     print(_marginal_summary("marginal1", grid.marginal1))
@@ -370,9 +369,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("convolve", help="free or bi-free max-convolution")
-    kind = c.add_mutually_exclusive_group()
-    kind.add_argument("--free", action="store_true")
-    kind.add_argument("--bifree", action="store_true", default=True)
+    c.add_argument("--free", action="store_true")
     c.add_argument("a")
     c.add_argument("b")
     c.add_argument("-o", "--output")

@@ -14,6 +14,14 @@ sandwiched between 0 and the marginal increments.  Equivalently, its tail
 functional ``T = Q - F1 - F2 + 1`` is generated by an exponent measure:
 ``F = F1*F2 / (1 - tau((x, inf)))`` for a finite positive measure ``tau``
 reproducing the marginal tails.
+
+Every derived law here (convolution, power, exponent measure, ``exp(-tT)``)
+is one object: its marginals plus a ratio ``_q`` with ``Q = F1*F2/F`` on
+``{F > 0}`` and ``+inf`` on ``{F = 0}`` (extended by a closed form where
+one exists).  ``RatioBDF`` evaluates all of them as ``H1*H2/Q`` where
+``H1*H2 > 0`` and ``Q`` is finite, and as 0 elsewhere; the ratios compose
+without evaluating any joint DF, so a lazy chain costs time linear in its
+depth.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .distributions import (
     SupportError,
     UnivariateDF,
     _as_float_array,
+    _cell_volumes,
     _scalarize,
     bdf_from_law,
     law_from_bdf,
@@ -136,8 +145,25 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
 # bi-free max-convolution
 # ---------------------------------------------------------------------------
 
-class ConvolvedBDF(BivariateDF):
-    """Lazy bi-free max-convolution of two bivariate DFs."""
+class RatioBDF(BivariateDF):
+    """A law given by its marginals and its ratio: H = H1*H2/Q where
+    H1*H2 > 0 and Q is finite, and H = 0 elsewhere.  Subclasses define
+    ``_q``."""
+
+    def _q(self, x1, x2):
+        raise NotImplementedError
+
+    def _eval(self, x1, x2):
+        h = np.asarray(self.marginal1.eval(x1)) \
+            * np.asarray(self.marginal2.eval(x2))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = np.asarray(self._q(x1, x2))
+            live = (h > 0) & np.isfinite(q)
+            return np.where(live, h / np.where(live, q, 1.0), 0.0)
+
+
+class ConvolvedBDF(RatioBDF):
+    """Lazy bi-free max-convolution of two bivariate DFs: Q_F + Q_G - 1."""
 
     kind = "bifree-maxconv"
 
@@ -145,33 +171,9 @@ class ConvolvedBDF(BivariateDF):
         self.F, self.G = F, G
         super().__init__(free_maxconv(F.marginal1, G.marginal1),
                          free_maxconv(F.marginal2, G.marginal2))
-        self.q_total = getattr(F, "q_total", False) and \
-            getattr(G, "q_total", False)
 
-    def _q_raw(self, x1, x2):
-        return np.asarray(self.F.q_eval(x1, x2)) \
-            + np.asarray(self.G.q_eval(x1, x2)) - 1.0
-
-    def _eval(self, x1, x2):
-        h1 = np.asarray(self.marginal1.eval(x1))
-        h2 = np.asarray(self.marginal2.eval(x2))
-        fv = np.asarray(self.F.eval(x1, x2))
-        gv = np.asarray(self.G.eval(x1, x2))
-        live = (h1 > 0) & (h2 > 0) & (fv > 0) & (gv > 0)
-        f1 = np.asarray(self.F.marginal1.eval(x1))
-        f2 = np.asarray(self.F.marginal2.eval(x2))
-        g1 = np.asarray(self.G.marginal1.eval(x1))
-        g2 = np.asarray(self.G.marginal2.eval(x2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = np.where(fv > 0, f1 * f2 / np.where(fv > 0, fv, 1.0), np.inf) \
-                + np.where(gv > 0, g1 * g2 / np.where(gv > 0, gv, 1.0), np.inf) \
-                - 1.0
-            out = np.where(live, h1 * h2 / np.where(live, den, 1.0), 0.0)
-        return out
-
-    def q_eval(self, x1, x2):
-        return _scalarize(self._q_raw(_as_float_array(x1),
-                                      _as_float_array(x2)), x1, x2)
+    def _q(self, x1, x2):
+        return self.F._q(x1, x2) + self.G._q(x1, x2) - 1.0
 
 
 def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
@@ -197,12 +199,13 @@ def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
     return ConvolvedBDF(F, G)
 
 
-class PowerBDF(BivariateDF):
+class PowerBDF(RatioBDF):
     """Real convolution power via the scaling Q_{F^(t)} - 1 = t*(Q_F - 1).
 
     For t < 1 the canonical representative is returned: marginals keep the
-    support [L, inf) of the base and gain an atom of mass (1-t) at L.  Bases
-    without a total ratio extension keep H = 0 wherever the base vanishes.
+    support [L, inf) of the base and gain an atom of mass (1-t) at L.  Where
+    the base ratio is +inf (the base vanishes and has no closed-form ratio)
+    the power vanishes too.
     """
 
     kind = "bifree-power"
@@ -215,27 +218,9 @@ class PowerBDF(BivariateDF):
         self.t = t
         super().__init__(free_power(base.marginal1, t),
                          free_power(base.marginal2, t))
-        self.q_total = getattr(base, "q_total", False)
 
-    def _eval(self, x1, x2):
-        h1 = np.asarray(self.marginal1.eval(x1))
-        h2 = np.asarray(self.marginal2.eval(x2))
-        live = (h1 > 0) & (h2 > 0)
-        if self.q_total:
-            q = np.asarray(self.base.q_eval(x1, x2))
-        else:
-            fv = np.asarray(self.base.eval(x1, x2))
-            live = live & (fv > 0)
-            f1 = np.asarray(self.base.marginal1.eval(x1))
-            f2 = np.asarray(self.base.marginal2.eval(x2))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(fv > 0, f1 * f2 / np.where(fv > 0, fv, 1.0), 1.0)
-        den = 1.0 + self.t * (q - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(live, h1 * h2 / np.where(live, den, 1.0), 0.0)
-
-    def q_eval(self, x1, x2):
-        return 1.0 + self.t * (np.asarray(self.base.q_eval(x1, x2)) - 1.0)
+    def _q(self, x1, x2):
+        return 1.0 + self.t * (self.base._q(x1, x2) - 1.0)
 
 
 def bifree_power(F: BivariateDF, t) -> BivariateDF:
@@ -391,8 +376,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
         checks.append(("ratio-increasing-y", -dqy, 1))
         checks.append(("ratio-increment-bound-y", dqy - d2[None, :], 1))
     if q.shape[0] > 1 and q.shape[1] > 1:
-        vol = q[1:, 1:] - q[:-1, 1:] - q[1:, :-1] + q[:-1, :-1]
-        checks.append(("ratio-volume", vol, 2))
+        checks.append(("ratio-volume", _cell_volumes(q), 2))
 
     worst = -np.inf
     witness = None
@@ -435,13 +419,12 @@ def _marginal_from_tau(tau: DiscreteMeasure, axis, lower):
     return GridUDF(knots, np.clip(values, 0.0, 1.0), saturation=sat)
 
 
-class MeasureBDF(BivariateDF):
+class MeasureBDF(RatioBDF):
     """DF generated by an exponent measure: F = F1*F2/(1 - tau((x, inf)))
     above the lower corner, 0 elsewhere.  Always bi-freely max-i.d., and
     powered exactly by scaling the measure."""
 
     kind = "exponent-measure"
-    q_total = True
 
     def __init__(self, tau: DiscreteMeasure, lower):
         self.tau = tau
@@ -449,18 +432,8 @@ class MeasureBDF(BivariateDF):
         super().__init__(_marginal_from_tau(tau, 0, self.lower[0]),
                          _marginal_from_tau(tau, 1, self.lower[1]))
 
-    def _eval(self, x1, x2):
-        above = (x1 >= self.lower[0]) & (x2 >= self.lower[1])
-        num = np.asarray(self.marginal1.eval(x1)) \
-            * np.asarray(self.marginal2.eval(x2))
-        g = 1.0 - np.asarray(self.tau.tail(x1, x2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(num > 0, num / np.where(num > 0, g, 1.0), 0.0)
-        return np.where(above, out, 0.0)
-
-    def q_eval(self, x1, x2):
-        x1a, x2a = np.broadcast_arrays(_as_float_array(x1), _as_float_array(x2))
-        return _scalarize(1.0 - np.asarray(self.tau.tail(x1a, x2a)), x1, x2)
+    def _q(self, x1, x2):
+        return 1.0 - np.asarray(self.tau.tail(x1, x2))
 
     def power(self, t):
         t = float(t)
@@ -583,8 +556,7 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
         xs, ys = _default_maxid_grid(F, 81)
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
     for n in ns:
-        root = np.power(vals, 1.0 / float(n))
-        vol = root[1:, 1:] - root[:-1, 1:] - root[1:, :-1] + root[:-1, :-1]
+        vol = _cell_volumes(np.power(vals, 1.0 / float(n)))
         if vol.size and vol.min() < -tol:
             i, j = np.unravel_index(np.argmin(vol), vol.shape)
             return MaxIdVerdict(
@@ -607,8 +579,9 @@ class _ExpTailMarginalUDF(UnivariateDF):
         return np.where(x < self.support_lower, 0.0, v)
 
 
-class ExpTailBDF(BivariateDF):
-    """exp(-t * T_F) on the support rectangle of a max-i.d. base DF."""
+class ExpTailBDF(RatioBDF):
+    """exp(-t * T_F) on the support rectangle of a max-i.d. base DF: its
+    marginals are exp(-t*(1 - F_j)) and its ratio exp(t*(Q_F - 1))."""
 
     kind = "exp-tail"
 
@@ -621,25 +594,11 @@ class ExpTailBDF(BivariateDF):
         lo2 = base.marginal2.quantile_exceed(0.0)
         if not (np.isfinite(lo1) and np.isfinite(lo2)):
             raise ValueError("base DF must have support bounded below")
-        self._lower = (lo1, lo2)
         super().__init__(_ExpTailMarginalUDF(base.marginal1, t, lo1),
                          _ExpTailMarginalUDF(base.marginal2, t, lo2))
 
-    def _eval(self, x1, x2):
-        above = (x1 >= self._lower[0]) & (x2 >= self._lower[1])
-        if getattr(self.base, "q_total", False):
-            q = np.asarray(self.base.q_eval(x1, x2))
-            live = above
-        else:
-            fv = np.asarray(self.base.eval(x1, x2))
-            live = above & (fv > 0)
-            f1 = np.asarray(self.base.marginal1.eval(x1))
-            f2 = np.asarray(self.base.marginal2.eval(x2))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(fv > 0, f1 * f2 / np.where(fv > 0, fv, 1.0), 1.0)
-        tail = q - np.asarray(self.base.marginal1.eval(x1)) \
-            - np.asarray(self.base.marginal2.eval(x2)) + 1.0
-        return np.where(live, np.exp(-self.t * tail), 0.0)
+    def _q(self, x1, x2):
+        return np.exp(self.t * (self.base._q(x1, x2) - 1.0))
 
 
 def maxid_from_tail_functional(F: BivariateDF, t) -> BivariateDF:

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteMeasure, SupportError, _as_float_array, _scalarize
+from .distributions import (
+    DiscreteMeasure,
+    SupportError,
+    _as_float_array,
+    _cell_volumes,
+    _scalarize,
+)
 
 __all__ = [
     "Copula",
@@ -87,15 +93,15 @@ class Copula:
         """Denominator of the ratio form uv / f(u, v).
 
         Families with a closed-form denominator override this; the generic
-        fallback divides and extends by the limit max(u, v) on the axes.
+        fallback divides, is +inf where C = 0 < uv, and extends by the limit
+        max(u, v) on the axes.
         """
         ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
         c = np.asarray(self.eval(ua, va))
         prod = ua * va
-        if np.any((c <= 0.0) & (prod > 0.0)):
-            raise SupportError("copula vanishes where uv > 0; ratio undefined")
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(prod > 0.0, prod / np.where(c > 0, c, 1.0),
+            out = np.where(prod > 0.0,
+                           np.where(c > 0, prod / np.where(c > 0, c, 1.0), np.inf),
                            np.maximum(ua, va))
         return _scalarize(out, u, v)
 
@@ -578,8 +584,7 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
         quantities += [
             ("monotone-difference-u", (U[1:, :], V[1:, :]), np.diff(gu, axis=0)),
             ("monotone-difference-v", (U[:, 1:], V[:, 1:]), np.diff(gv, axis=1)),
-            ("volume", (U[:-1, :-1], V[:-1, :-1]),
-             f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1]),
+            ("volume", (U[:-1, :-1], V[:-1, :-1]), _cell_volumes(f)),
         ]
         threshold = tol
     else:
@@ -631,7 +636,7 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
     if np.max(np.abs(C.eval(g, o) - g)) > tol or np.max(np.abs(C.eval(o, g) - g)) > tol:
         raise AssertionError("boundary C(u,1) = u or C(1,v) = v fails")
     vals = C.eval(g[:, None], g[None, :])
-    vols = vals[1:, 1:] - vals[:-1, 1:] - vals[1:, :-1] + vals[:-1, :-1]
+    vols = _cell_volumes(vals)
     if vols.size and vols.min() < -tol:
         raise AssertionError(f"quasi-monotonicity fails: volume {vols.min():.3e}")
     if np.max(vals - np.minimum(g[:, None], g[None, :])) > tol:

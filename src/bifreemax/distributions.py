@@ -67,6 +67,17 @@ def _scalarize(out, *inputs):
     return out
 
 
+def _require_finite(message, *arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(message)
+
+
+def _cell_volumes(v):
+    """Volumes v[i+1, j+1] - v[i, j+1] - v[i+1, j] + v[i, j] of the cells
+    between adjacent lattice points."""
+    return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+
+
 # ---------------------------------------------------------------------------
 # univariate distribution functions
 # ---------------------------------------------------------------------------
@@ -151,6 +162,7 @@ class GridUDF(UnivariateDF):
             raise ValueError("knots and values must be 1-D arrays of equal length")
         if knots.size == 0:
             raise ValueError("grid DF needs at least one knot")
+        _require_finite("knots and values must be finite", knots, values)
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
@@ -293,13 +305,15 @@ def ones_df():
 class BivariateDF:
     """A two-dimensional distribution function with explicit marginals.
 
-    ``q_total`` marks subclasses whose product-to-joint ratio F1*F2/F has a
-    closed-form extension to the whole support rectangle (including points
-    where F itself vanishes); convolution powers use it.
+    ``_q(x1, x2)`` gives the product-to-joint ratio Q = F1*F2/F on
+    broadcast float arrays: F1*F2/F on {F > 0} and +inf on {F = 0}, unless
+    a subclass has a closed form that extends Q past {F > 0} (a copula
+    denominator, an exponent-measure tail).  The derived laws of
+    :mod:`bifreemax.convolution` are built from it, since Q - 1 is additive
+    under bi-free max-convolution.
     """
 
     kind = "abstract"
-    q_total = False
 
     def __init__(self, marginal1, marginal2):
         self.marginal1 = marginal1
@@ -319,17 +333,22 @@ class BivariateDF:
     def __call__(self, x1, x2):
         return self.eval(x1, x2)
 
-    def q_eval(self, x1, x2):
-        """The product-to-joint ratio F1*F2/F, defined where F > 0.
+    def _q(self, x1, x2):
+        f = np.asarray(self._eval(x1, x2))
+        num = np.asarray(self.marginal1.eval(x1)) \
+            * np.asarray(self.marginal2.eval(x2))
+        pos = f > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(pos, num / np.where(pos, f, 1.0), np.inf)
 
-        Subclasses with extra structure override this with an expression
-        that stays finite on the closed support rectangle.
-        """
-        f = self.eval(x1, x2)
-        fa = np.asarray(f)
-        if np.any(fa <= 0.0):
+    def q_eval(self, x1, x2):
+        """The product-to-joint ratio F1*F2/F; raises SupportError where it
+        is +inf, i.e. where F = 0 and no closed form extends it."""
+        a1, a2 = np.broadcast_arrays(_as_float_array(x1), _as_float_array(x2))
+        q = np.asarray(self._q(a1, a2))
+        if np.any(np.isposinf(q)):
             raise SupportError("ratio requested at a point where F = 0")
-        return self.marginal1.eval(x1) * self.marginal2.eval(x2) / f
+        return _scalarize(q, x1, x2)
 
 
 class GridBDF(BivariateDF):
@@ -345,6 +364,8 @@ class GridBDF(BivariateDF):
         self.values = _as_float_array(values)
         if self.values.shape != (self.xknots.size, self.yknots.size):
             raise ValueError("values must have shape (len(xknots), len(yknots))")
+        _require_finite("knots and values must be finite",
+                        self.xknots, self.yknots, self.values)
         if np.any(np.diff(self.xknots) <= 0) or np.any(np.diff(self.yknots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
@@ -372,8 +393,7 @@ class GridBDF(BivariateDF):
         return vals
 
     def cell_volumes(self):
-        v = self.values
-        return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+        return _cell_volumes(self.values)
 
     def validate(self, tol=1e-9, marginal_tol=None):
         """Check DF axioms on the grid; raises ValueError on violation.
@@ -420,7 +440,6 @@ class CoupledBDF(BivariateDF):
     through a copula."""
 
     kind = "coupled"
-    q_total = True
 
     def __init__(self, copula, marginal1, marginal2):
         super().__init__(marginal1, marginal2)
@@ -429,10 +448,9 @@ class CoupledBDF(BivariateDF):
     def _eval(self, x1, x2):
         return self.copula.eval(self.marginal1.eval(x1), self.marginal2.eval(x2))
 
-    def q_eval(self, x1, x2):
-        u = self.marginal1.eval(x1)
-        v = self.marginal2.eval(x2)
-        return self.copula.f_eval(u, v)
+    def _q(self, x1, x2):
+        return self.copula.f_eval(self.marginal1.eval(x1),
+                                  self.marginal2.eval(x2))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +472,7 @@ class DiscreteMeasure:
         ms = np.atleast_1d(_as_float_array(self.masses))
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != ms.shape[0]:
             raise ValueError("points must be (n, 2) and masses (n,)")
+        _require_finite("points and masses must be finite", pts, ms)
         if np.any(ms < 0):
             raise ValueError("masses must be nonnegative")
         object.__setattr__(self, "points", pts)
@@ -545,8 +564,7 @@ def is_quasi_monotone(F, tol=0.0, grid=None):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     xs, ys = _check_grid(F, grid)
-    vals = F.eval(xs[:, None], ys[None, :])
-    vols = vals[1:, 1:] - vals[:-1, 1:] - vals[1:, :-1] + vals[:-1, :-1]
+    vols = _cell_volumes(F.eval(xs[:, None], ys[None, :]))
     if vols.size == 0:
         return QuasiMonotoneResult(True, 0.0, None)
     worst = float(vols.min())

@@ -13,7 +13,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "panel_nodes",
-    "fixed_panels",
     "adaptive_panels",
     "tensor_cells",
 ]
@@ -39,12 +38,6 @@ def panel_nodes(edges, order=32):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * nodes[None, :], half * weights[None, :]
-
-
-def fixed_panels(f, edges, order=32):
-    """Integrate a vectorized integrand over fixed panels."""
-    x, w = panel_nodes(edges, order)
-    return float(np.sum(w * f(x)))
 
 
 def adaptive_panels(f, a, b, tol=1e-8, order=32, max_depth=28):

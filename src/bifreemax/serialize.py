@@ -122,9 +122,6 @@ def measure_from_obj(obj):
     return DiscreteMeasure.from_atoms(obj["atoms"])
 
 
-_LOADERS = {}
-
-
 def from_json_obj(obj):
     """Dispatch a parsed JSON object on its ``kind`` field."""
     kind = obj.get("kind")

@@ -5,7 +5,9 @@ artifacts: ``convolve``, ``power``, ``transform``, ``check``, ``build``,
 ``gaussian``, ``experiment``.  Verdict-producing commands exit 0 for a
 positive verdict (member / yes / maxid), 1 for a negative one, and 2 for
 inconclusive.  Malformed specs or inputs exit 4 with a diagnostic on
-stderr (argparse usage errors keep the stdlib exit code 2).
+stderr, as do checks that could cover nothing: an empty or non-positive
+``--ns``, or ``--grid`` below 3 for ``check copula`` (argparse usage
+errors keep the stdlib exit code 2).
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def _print_verdict(args, payload):
         print(json.dumps(payload, indent=2))
 
 
+def _emit_verdict(args, payload):
+    """Print a verdict payload, write it to ``-o`` if given, and return the
+    exit code of its status."""
+    _print_verdict(args, payload)
+    if args.output:
+        dump_json(payload, _out_path(args, args.output))
+    return _EXIT[payload["status"]]
+
+
 def _marginal_range(m, n):
     lo = m.quantile_exceed(0.0)
     hi = m.saturation
@@ -80,23 +91,19 @@ def _marginal_range(m, n):
     return np.linspace(lo, hi, n)
 
 
-def _default_grid(F, n):
-    return _marginal_range(F.marginal1, n), _marginal_range(F.marginal2, n)
-
-
-def _ensure_grid_bdf(F, n):
-    if isinstance(F, GridBDF):
-        return F
-    xs, ys = _default_grid(F, n)
-    return materialize(F, xs, ys)
-
-
 def _marginal_summary(tag, m):
     med = m.quantile_exceed(0.5)
     sat = m.saturation
     return (f"{tag}: kind={m.kind} support_lower={fmt(m.support_lower)} "
             f"median={fmt(med)} saturation="
             f"{fmt(sat) if np.isfinite(sat) else 'inf'}")
+
+
+def _emit_bdf(args, F):
+    print(_marginal_summary("marginal1", F.marginal1))
+    print(_marginal_summary("marginal2", F.marginal2))
+    if args.output:
+        dump_json(bdf_to_obj(F), _out_path(args, args.output))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +126,7 @@ def _cmd_convolve(args):
     F = parse_bdf(args.a)
     G = parse_bdf(args.b)
     H = cv.bifree_maxconv(F, G)
-    H = _ensure_grid_bdf(H, args.grid)
-    print(_marginal_summary("marginal1", H.marginal1))
-    print(_marginal_summary("marginal2", H.marginal2))
-    if args.output:
-        dump_json(bdf_to_obj(H), _out_path(args, args.output))
+    _emit_bdf(args, H)
     if args.csv:
         write_surface_csv(_out_path(args, args.csv), H.xknots, H.yknots,
                           H.values)
@@ -133,27 +136,21 @@ def _cmd_convolve(args):
 def _cmd_power(args):
     F = parse_bdf(args.input)
     P = cv.bifree_power(F, args.t)
-    if isinstance(F, GridBDF) and not isinstance(P, GridBDF):
+    if not isinstance(P, GridBDF):
         P = materialize(P, F.xknots, F.yknots)
-    else:
-        P = _ensure_grid_bdf(P, args.grid)
-    print(_marginal_summary("marginal1", P.marginal1))
-    print(_marginal_summary("marginal2", P.marginal2))
-    if args.output:
-        dump_json(bdf_to_obj(P), _out_path(args, args.output))
+    _emit_bdf(args, P)
     return 0
 
 
 def _cmd_transform(args):
     F = parse_bdf(args.input)
-    F = _ensure_grid_bdf(F, args.grid)
     xs = F.xknots[F.marginal1.eval(F.xknots) > 0]
     ys = F.yknots[F.marginal2.eval(F.yknots) > 0]
     if args.kind == "ratio":
         vals = cv.product_ratio(F, xs[:, None], ys[None, :])
     else:
         vals = cv.tail_functional(F, xs[:, None], ys[None, :])
-    out = _out_path(args, args.output) if args.output else None
+    out = _out_path(args, args.output)
     if out:
         write_surface_csv(out, xs, ys, vals)
     else:
@@ -171,54 +168,44 @@ def _witness_obj(w):
             for k, v in vars(w).items()}
 
 
+def _gaussian_verdict(c, resolution):
+    v = ga.maxid_verdict(c, resolution=resolution)
+    return {"check": "bifree-maxid", "gaussian_c": c, "status": v.status,
+            "mechanism": v.mechanism, "witness": _witness_obj(v.witness)}
+
+
 def _cmd_check(args):
     tol = args.tol if args.tol is not None else 1e-9
     if args.what == "copula":
         C = parse_copula(args.spec)
         verdict = cp.check_maxid_coupling(C, mode=args.mode, tol=tol,
                                           grid_n=args.grid)
-        status = "member" if verdict.member else "nonmember"
         payload = {"check": "maxid-coupling", "spec": args.spec,
-                   "status": status, "mode": verdict.mode,
-                   "min_margin": verdict.min_margin,
+                   "status": "member" if verdict.member else "nonmember",
+                   "mode": verdict.mode, "min_margin": verdict.min_margin,
                    "witness": _witness_obj(verdict.witness)}
+    elif args.what == "maxid" and args.gaussian is not None:
+        payload = _gaussian_verdict(args.gaussian, args.resolution)
     elif args.what == "maxid":
-        if args.gaussian is not None:
-            c = args.gaussian
-            v = ga.maxid_verdict(c, resolution=args.resolution)
-            payload = {"check": "bifree-maxid", "gaussian_c": c,
-                       "status": v.status, "mechanism": v.mechanism,
-                       "witness": _witness_obj(v.witness)}
-            status = v.status
-        else:
-            F = parse_bdf(args.spec)
-            v = cv.is_bifree_maxid(F, tol=tol)
-            payload = {"check": "bifree-maxid", "input": args.spec,
-                       "status": v.status, "reason": v.reason,
-                       "margin": v.margin, "witness": _witness_obj(v.witness)}
-            status = v.status
+        v = cv.is_bifree_maxid(parse_bdf(args.spec), tol=tol)
+        payload = {"check": "bifree-maxid", "input": args.spec,
+                   "status": v.status, "reason": v.reason,
+                   "margin": v.margin, "witness": _witness_obj(v.witness)}
     elif args.what == "classical-maxid":
         F = parse_bdf(args.spec)
         v = cv.classical_maxid_check(F, ns=tuple(_ints(args.ns)), tol=tol)
         payload = {"check": "classical-maxid", "input": args.spec,
                    "status": v.status, "reason": v.reason,
                    "witness": _witness_obj(v.witness)}
-        status = v.status
     else:  # copula-axioms
         C = parse_copula(args.spec)
+        payload = {"check": "copula-axioms", "spec": args.spec,
+                   "status": "pass"}
         try:
             cp.check_copula_axioms(C, n=args.grid, tol=tol)
-            payload = {"check": "copula-axioms", "spec": args.spec,
-                       "status": "pass"}
-            status = "pass"
         except AssertionError as exc:
-            payload = {"check": "copula-axioms", "spec": args.spec,
-                       "status": "fail", "reason": str(exc)}
-            status = "fail"
-    _print_verdict(args, payload)
-    if args.output:
-        dump_json(payload, _out_path(args, args.output))
-    return _EXIT.get(status, 2)
+            payload.update(status="fail", reason=str(exc))
+    return _emit_verdict(args, payload)
 
 
 def _cmd_build(args):
@@ -233,12 +220,10 @@ def _cmd_build(args):
         C = parse_copula(args.spec)
         m1 = parse_marginal(args.marginal1)
         m2 = parse_marginal(args.marginal2 or args.marginal1)
-        F = CoupledBDF(C, m1, m2)
-        grid = _ensure_grid_bdf(F, args.grid)
-    print(_marginal_summary("marginal1", grid.marginal1))
-    print(_marginal_summary("marginal2", grid.marginal2))
-    if args.output:
-        dump_json(bdf_to_obj(grid), _out_path(args, args.output))
+        grid = materialize(CoupledBDF(C, m1, m2),
+                           _marginal_range(m1, args.grid),
+                           _marginal_range(m2, args.grid))
+    _emit_bdf(args, grid)
     return 0
 
 
@@ -269,13 +254,7 @@ def _cmd_gaussian(args):
         if args.output:
             dump_json({"c": c, "rows": rows}, _out_path(args, args.output))
         return 0
-    v = ga.maxid_verdict(c, resolution=args.resolution)
-    payload = {"check": "bifree-maxid", "gaussian_c": c, "status": v.status,
-               "mechanism": v.mechanism, "witness": _witness_obj(v.witness)}
-    _print_verdict(args, payload)
-    if args.output:
-        dump_json(payload, _out_path(args, args.output))
-    return _EXIT[v.status]
+    return _emit_verdict(args, _gaussian_verdict(c, args.resolution))
 
 
 def _dyadic(n_max):
@@ -335,7 +314,7 @@ def _cmd_experiment(args):
         rows = [(n, "sup_distance", d) for n, d in report.rows]
         summary = {"experiment": "max-stable", "pickands": args.spec,
                    "max_distance": report.max_distance}
-    out = _out_path(args, args.output) if args.output else None
+    out = _out_path(args, args.output)
     if out:
         write_report_csv(out, ("n", "diagnostic", "value"), rows)
     else:

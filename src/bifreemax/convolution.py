@@ -39,9 +39,10 @@ from .distributions import (
     GridUDF,
     SupportError,
     UnivariateDF,
-    _as_float_array,
     _cell_volumes,
+    _probe_grid,
     _scalarize,
+    _worst,
     bdf_from_law,
     law_from_bdf,
     ones_df,
@@ -286,31 +287,10 @@ class MaxIdVerdict:
     status: str  # "yes" | "no" | "inconclusive"
     reason: str
     witness: MaxIdWitness | None = None
-    margin: float = 0.0
+    margin: float | None = 0.0
 
     def __bool__(self):
         return self.status == "yes"
-
-
-def _default_maxid_grid(F, resolution):
-    # concentrate probes where the mass sits: dense up to the 0.9 quantile,
-    # then a sparse tail out to saturation or the 0.999 quantile
-    knots = []
-    for m in (F.marginal1, F.marginal2):
-        lo = m.quantile_exceed(0.0)
-        mid = m.quantile_exceed(0.9)
-        hi = m.saturation
-        if not np.isfinite(hi):
-            hi = m.quantile_exceed(0.999)
-            hi += 0.5 * max(1.0, abs(hi - lo))
-        if mid <= lo:
-            mid = lo + 0.5 * max(hi - lo, 1.0)
-        if hi <= mid:
-            hi = mid + max(1.0, mid - lo)
-        head = np.linspace(lo, mid, resolution - resolution // 4)
-        tail = np.linspace(mid, hi, resolution // 4 + 1)[1:]
-        knots.append(np.concatenate([head, tail]))
-    return knots[0], knots[1]
 
 
 def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
@@ -333,12 +313,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
         if not np.isfinite(m.support_lower):
             return MaxIdVerdict("no",
                                 f"marginal {name} has support unbounded below")
-    if grid is not None:
-        xs, ys = _as_float_array(grid[0]), _as_float_array(grid[1])
-    elif isinstance(F, GridBDF):
-        xs, ys = F.xknots, F.yknots
-    else:
-        xs, ys = _default_maxid_grid(F, resolution)
+    xs, ys = _probe_grid(F, grid, resolution)
 
     m1 = np.asarray(F.marginal1.eval(xs))
     m2 = np.asarray(F.marginal2.eval(ys))
@@ -364,42 +339,32 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
     m1, m2 = m1[xi], m2[yi]
     q = m1[:, None] * m2[None, :] / vals[np.ix_(xi, yi)]
 
+    # tags: (check name, index step from the lower to the upper corner)
     checks = []
     d1 = np.diff(m1)
     d2 = np.diff(m2)
     if q.shape[0] > 1:
         dqx = np.diff(q, axis=0)
-        checks.append(("ratio-increasing-x", -dqx, 0))
-        checks.append(("ratio-increment-bound-x", dqx - d1[:, None], 0))
+        checks.append((("ratio-increasing-x", (1, 0)), -dqx))
+        checks.append((("ratio-increment-bound-x", (1, 0)), dqx - d1[:, None]))
     if q.shape[1] > 1:
         dqy = np.diff(q, axis=1)
-        checks.append(("ratio-increasing-y", -dqy, 1))
-        checks.append(("ratio-increment-bound-y", dqy - d2[None, :], 1))
+        checks.append((("ratio-increasing-y", (0, 1)), -dqy))
+        checks.append((("ratio-increment-bound-y", (0, 1)), dqy - d2[None, :]))
     if q.shape[0] > 1 and q.shape[1] > 1:
-        checks.append(("ratio-volume", _cell_volumes(q), 2))
+        checks.append((("ratio-volume", (1, 1)), _cell_volumes(q)))
 
-    worst = -np.inf
-    witness = None
-    for name, arr, axis in checks:
-        if arr.size == 0:
-            continue
-        k = int(np.argmax(arr))
-        qty = float(arr.flat[k])
-        if qty > worst:
-            worst = qty
-            i, j = np.unravel_index(k, arr.shape)
-            if axis == 0:
-                lo_pt, hi_pt = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            elif axis == 1:
-                lo_pt, hi_pt = (xs[i], ys[j]), (xs[i], ys[j + 1])
-            else:
-                lo_pt, hi_pt = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
-            witness = MaxIdWitness(name, (float(lo_pt[0]), float(lo_pt[1])),
-                                   (float(hi_pt[0]), float(hi_pt[1])), qty)
+    worst, tag, at = _worst(checks)
+    # one positive probe point leaves no pair to compare and no margin; on
+    # the knots of a step DF it is a point mass, which is max-i.d.
+    margin = None if tag is None else float(tol - worst)
     if worst <= tol:
-        return MaxIdVerdict("yes", "ratio checks pass", margin=float(tol - worst))
-    return MaxIdVerdict("no", f"{witness.check} violated by {worst:.3e}",
-                        witness, margin=float(tol - worst))
+        return MaxIdVerdict("yes", "ratio checks pass", margin=margin)
+    (name, (di, dj)), (i, j) = tag, at
+    witness = MaxIdWitness(name, (float(xs[i]), float(ys[j])),
+                           (float(xs[i + di]), float(ys[j + dj])), worst)
+    return MaxIdVerdict("no", f"{name} violated by {worst:.3e}", witness,
+                        margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +513,21 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
     Bi-freely max-i.d. DFs pass for every n (they are classically max-i.d.);
     a failing cell is returned as a witness.
     """
-    if grid is not None:
-        xs, ys = _as_float_array(grid[0]), _as_float_array(grid[1])
-    elif isinstance(F, GridBDF):
-        xs, ys = F.xknots, F.yknots
-    else:
-        xs, ys = _default_maxid_grid(F, 81)
+    ns = tuple(ns)
+    if not ns or not all(n > 0 for n in ns):
+        raise ValueError(f"ns must hold positive root orders, got {ns}")
+    xs, ys = _probe_grid(F, grid, 81)
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
     for n in ns:
         vol = _cell_volumes(np.power(vals, 1.0 / float(n)))
-        if vol.size and vol.min() < -tol:
-            i, j = np.unravel_index(np.argmin(vol), vol.shape)
+        drop, _, at = _worst([("root-volume", -vol)])
+        if not drop <= tol:
+            i, j = at
             return MaxIdVerdict(
                 "no", f"root 1/{n} has a negative cell volume",
                 MaxIdWitness("root-volume", (float(xs[i]), float(ys[j])),
-                             (float(xs[i + 1]), float(ys[j + 1])),
-                             float(vol.min())))
-    return MaxIdVerdict("yes", f"roots quasi-monotone for n in {tuple(ns)}")
+                             (float(xs[i + 1]), float(ys[j + 1])), -drop))
+    return MaxIdVerdict("yes", f"roots quasi-monotone for n in {ns}")
 
 
 class _ExpTailMarginalUDF(UnivariateDF):

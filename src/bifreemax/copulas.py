@@ -27,6 +27,7 @@ from .distributions import (
     _as_float_array,
     _cell_volumes,
     _scalarize,
+    _worst,
 )
 
 __all__ = [
@@ -523,23 +524,6 @@ class CouplingVerdict:
         return self.member
 
 
-def _worst(quantities):
-    """Pick the largest quantity across named (check, points, values) blocks."""
-    worst_q = -np.inf
-    worst_witness = None
-    for name, pts, vals in quantities:
-        vals = np.asarray(vals)
-        if vals.size == 0:
-            continue
-        k = int(np.argmax(vals))
-        q = float(vals.flat[k])
-        if q > worst_q:
-            worst_q = q
-            p = tuple(float(c.flat[k]) for c in pts)
-            worst_witness = CouplingWitness(name, p, q)
-    return worst_q, worst_witness
-
-
 def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
                          fd_step=1e-5, deriv_tol=1e-7):
     """Decide whether ``C = uv/f`` has a denominator with the structure that
@@ -565,6 +549,8 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
     if mode == "smooth" and not C.smooth:
         raise ValueError(
             f"family {C.family!r} has non-smooth spots; use grid mode")
+    if grid_n < 3:
+        raise ValueError(f"grid_n must be at least 3, got {grid_n}")
 
     us = np.linspace(0.0, 1.0, grid_n)[1:]
     U, V = np.meshgrid(us, us, indexing="ij")
@@ -573,18 +559,19 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
         raise SupportError("copula must be strictly positive on (0, 1]^2")
     f = np.asarray(C.f_eval(U, V))
 
+    # tags: (check name, probe coordinates of the block's entries)
     boundary = [
-        ("boundary", (U[:, -1:], V[:, -1:]), np.abs(f[:, -1:] - 1.0)),
-        ("boundary", (U[-1:, :], V[-1:, :]), np.abs(f[-1:, :] - 1.0)),
+        (("boundary", (U[:, -1:], V[:, -1:])), np.abs(f[:, -1:] - 1.0)),
+        (("boundary", (U[-1:, :], V[-1:, :])), np.abs(f[-1:, :] - 1.0)),
     ]
     quantities = []
     if mode == "grid":
         gu = f - U
         gv = f - V
         quantities += [
-            ("monotone-difference-u", (U[1:, :], V[1:, :]), np.diff(gu, axis=0)),
-            ("monotone-difference-v", (U[:, 1:], V[:, 1:]), np.diff(gv, axis=1)),
-            ("volume", (U[:-1, :-1], V[:-1, :-1]), _cell_volumes(f)),
+            (("monotone-difference-u", (U[1:, :], V[1:, :])), np.diff(gu, axis=0)),
+            (("monotone-difference-v", (U[:, 1:], V[:, 1:])), np.diff(gv, axis=1)),
+            (("volume", (U[:-1, :-1], V[:-1, :-1])), _cell_volumes(f)),
         ]
         threshold = tol
     else:
@@ -598,24 +585,29 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
         fuv = (fe(P + h, Q + h) - fe(P + h, Q - h)
                - fe(P - h, Q + h) + fe(P - h, Q - h)) / (4 * h * h)
         quantities += [
-            ("df/du lower", (P, Q), -fu),
-            ("df/du upper", (P, Q), fu - 1.0),
-            ("df/dv lower", (P, Q), -fv),
-            ("df/dv upper", (P, Q), fv - 1.0),
-            ("mixed partial", (P, Q), fuv),
+            (("df/du lower", (P, Q)), -fu),
+            (("df/du upper", (P, Q)), fu - 1.0),
+            (("df/dv lower", (P, Q)), -fv),
+            (("df/dv upper", (P, Q)), fv - 1.0),
+            (("mixed partial", (P, Q)), fuv),
         ]
         threshold = max(tol, deriv_tol)
 
-    bound_q, bound_witness = _worst(boundary)
-    worst_q, witness = _worst(quantities)
+    bound_q, bound_tag, bound_at = _worst(boundary)
+    worst_q, tag, at = _worst(quantities)
     member = worst_q <= threshold and bound_q <= tol
-    if not member and bound_q > tol and bound_q - tol > worst_q - threshold:
-        witness = bound_witness
+    witness = None
+    if not member:
+        # the witness is the larger excess over its threshold, a NaN first
+        _, (q, (name, pts), at), _ = _worst([
+            ((worst_q, tag, at), [worst_q - threshold]),
+            ((bound_q, bound_tag, bound_at), [bound_q - tol])])
+        witness = CouplingWitness(name, tuple(float(c[at]) for c in pts), q)
     # margin from the inequality checks only; the boundary rows sit on an
     # equality and would otherwise always pin the margin near zero
     return CouplingVerdict(member=member, mode=mode,
                            min_margin=float(threshold - worst_q),
-                           witness=None if member else witness)
+                           witness=witness)
 
 
 # ---------------------------------------------------------------------------

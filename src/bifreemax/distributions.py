@@ -236,7 +236,7 @@ def pareto_free_df(alpha, scale=1.0):
         raise ValueError("alpha and scale must be positive")
 
     def fn(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             v = 1.0 - np.power(np.maximum(x, 1e-300) / scale, -alpha)
         return np.where(x <= scale, 0.0, v)
 
@@ -409,10 +409,9 @@ class GridBDF(BivariateDF):
             raise ValueError("values decrease along the x axis")
         if np.any(np.diff(self.values, axis=1) < -tol):
             raise ValueError("values decrease along the y axis")
-        vols = self.cell_volumes()
-        if vols.size and vols.min() < -tol:
-            ij = np.unravel_index(np.argmin(vols), vols.shape)
-            raise ValueError(f"negative cell volume {vols.min():.3e} at cell {ij}")
+        drop, _, ij = _worst([("volume", -self.cell_volumes())])
+        if not drop <= tol:
+            raise ValueError(f"negative cell volume {-drop:.3e} at cell {ij}")
         m1 = self.marginal1.eval(self.xknots)
         m2 = self.marginal2.eval(self.yknots)
         if np.isfinite(self.marginal2.saturation) and \
@@ -547,12 +546,52 @@ class QuasiMonotoneResult:
         return self.ok
 
 
-def _check_grid(F, grid):
+def _probe_grid(F, grid, resolution=None):
+    """The probe lattice of a grid decision: ``grid``, else the knots of a
+    grid DF, else ``resolution`` knots per axis placed where the mass sits."""
     if grid is not None:
         return _as_float_array(grid[0]), _as_float_array(grid[1])
     if isinstance(F, GridBDF):
         return F.xknots, F.yknots
-    raise ValueError("a probe grid (xknots, yknots) is required for non-grid DFs")
+    if resolution is None:
+        raise ValueError("a probe grid (xknots, yknots) is required for non-grid DFs")
+    # dense up to the 0.9 quantile, then a sparse tail out to saturation or
+    # past the 0.999 quantile
+    knots = []
+    for m in (F.marginal1, F.marginal2):
+        lo = m.quantile_exceed(0.0)
+        mid = m.quantile_exceed(0.9)
+        hi = m.saturation
+        if not np.isfinite(hi):
+            hi = m.quantile_exceed(0.999)
+            hi += 0.5 * max(1.0, abs(hi - lo))
+        if mid <= lo:
+            mid = lo + 0.5 * max(hi - lo, 1.0)
+        if hi <= mid:
+            hi = mid + max(1.0, mid - lo)
+        head = np.linspace(lo, mid, resolution - resolution // 4)
+        tail = np.linspace(mid, hi, resolution // 4 + 1)[1:]
+        knots.append(np.concatenate([head, tail]))
+    return knots[0], knots[1]
+
+
+def _worst(blocks):
+    """``(value, tag, index)`` of the largest entry across ``(tag, array)``
+    blocks, or ``(-inf, None, None)`` when all are empty.  A NaN is the
+    largest entry, so what a check could not compute never passes it; ties
+    go to the first maximum."""
+    worst = (-np.inf, None, None)
+    for tag, arr in blocks:
+        arr = np.asarray(arr)
+        if arr.size:
+            # argmax points at the first NaN, if there is one
+            at = tuple(map(int, np.unravel_index(np.argmax(arr), arr.shape)))
+            value = float(arr[at])
+            if np.isnan(value):
+                return value, tag, at
+            if value > worst[0]:
+                worst = (value, tag, at)
+    return worst
 
 
 def is_quasi_monotone(F, tol=0.0, grid=None):
@@ -563,15 +602,13 @@ def is_quasi_monotone(F, tol=0.0, grid=None):
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    xs, ys = _check_grid(F, grid)
+    xs, ys = _probe_grid(F, grid)
     vols = _cell_volumes(F.eval(xs[:, None], ys[None, :]))
-    if vols.size == 0:
-        return QuasiMonotoneResult(True, 0.0, None)
-    worst = float(vols.min())
-    if worst >= -tol:
-        return QuasiMonotoneResult(True, worst, None)
-    i, j = np.unravel_index(np.argmin(vols), vols.shape)
-    return QuasiMonotoneResult(False, worst, (float(xs[i]), float(ys[j])))
+    drop, _, at = _worst([("volume", -vols)])
+    if drop <= tol:
+        return QuasiMonotoneResult(True, 0.0 if at is None else -drop, None)
+    i, j = at
+    return QuasiMonotoneResult(False, -drop, (float(xs[i]), float(ys[j])))
 
 
 def grid_probe(xs, ys):

@@ -207,7 +207,7 @@ def parse_measure(text):
 def parse_bdf(text):
     if text.startswith("@"):
         obj = load_json(text[1:])
-        if not isinstance(obj, ds.BivariateDF):
+        if not isinstance(obj, ds.GridBDF):
             raise SpecError(f"{text[1:]} does not hold a bivariate grid DF")
         return obj
     if text.endswith(".json"):

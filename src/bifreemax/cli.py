@@ -6,8 +6,9 @@ artifacts: ``convolve``, ``power``, ``transform``, ``check``, ``build``,
 positive verdict (member / yes / maxid), 1 for a negative one, and 2 for
 inconclusive.  Malformed specs or inputs exit 4 with a diagnostic on
 stderr, as do checks that could cover nothing: an empty or non-positive
-``--ns``, or ``--grid`` below 3 for ``check copula`` (argparse usage
-errors keep the stdlib exit code 2).
+``--ns``, ``--grid`` below 3 for ``check copula`` or below 2 for ``check
+copula-axioms``, and ``check maxid`` with neither a spec nor
+``--gaussian`` (argparse usage errors keep the stdlib exit code 2).
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def _cmd_check(args):
     elif args.what == "maxid" and args.gaussian is not None:
         payload = _gaussian_verdict(args.gaussian, args.resolution)
     elif args.what == "maxid":
+        if args.spec is None:
+            raise SpecError("check maxid needs a spec or --gaussian C")
         v = cv.is_bifree_maxid(parse_bdf(args.spec), tol=tol)
         payload = {"check": "bifree-maxid", "input": args.spec,
                    "status": v.status, "reason": v.reason,

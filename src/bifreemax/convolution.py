@@ -304,8 +304,10 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
 
     Unbounded-below support is an immediate "no".  If {F > 0} fails to be
     the product of the marginal positivity sets on the grid, the structure
-    is not grid-verifiable and the verdict is "inconclusive".  Continuity
-    from above is supplied by the step-grid convention.
+    is not grid-verifiable and the verdict is "inconclusive", as it is when
+    a single positive probe point leaves nothing to compare, unless the
+    probes are a step DF's own knots (a point mass, "yes" with no margin).
+    Continuity from above is supplied by the step-grid convention.
     """
     for m, name in ((F.marginal1, "x"), (F.marginal2, "y")):
         # trust the declared bound: probing cannot tell a true lower
@@ -355,8 +357,11 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
         checks.append((("ratio-volume", (1, 1)), _cell_volumes(q)))
 
     worst, tag, at = _worst(checks)
-    # one positive probe point leaves no pair to compare and no margin; on
-    # the knots of a step DF it is a point mass, which is max-i.d.
+    # one positive probe point leaves no pair to compare and no margin; only
+    # on the knots of a step DF is it a point mass, which is max-i.d.
+    if tag is None and not (grid is None and isinstance(F, GridBDF)):
+        return MaxIdVerdict("inconclusive", "one positive probe point",
+                            margin=None)
     margin = None if tag is None else float(tol - worst)
     if worst <= tol:
         return MaxIdVerdict("yes", "ratio checks pass", margin=margin)

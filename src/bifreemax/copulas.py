@@ -620,18 +620,25 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
     Checks boundary values, quasi-monotonicity on a lattice, the comonotone
     upper bound, and the two-sided Lipschitz estimate on sampled pairs.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2 to probe a cell, got {n}")
+
+    def worst(*arrays):
+        # a NaN is the worst entry, so what could not be computed fails
+        return _worst([("", a) for a in arrays])[0]
+
     g = np.linspace(0.0, 1.0, n)
     z = np.zeros_like(g)
     o = np.ones_like(g)
-    if np.max(np.abs(C.eval(g, z))) > tol or np.max(np.abs(C.eval(z, g))) > tol:
+    if not worst(np.abs(C.eval(g, z)), np.abs(C.eval(z, g))) <= tol:
         raise AssertionError("boundary C(u,0) = 0 = C(0,v) fails")
-    if np.max(np.abs(C.eval(g, o) - g)) > tol or np.max(np.abs(C.eval(o, g) - g)) > tol:
+    if not worst(np.abs(C.eval(g, o) - g), np.abs(C.eval(o, g) - g)) <= tol:
         raise AssertionError("boundary C(u,1) = u or C(1,v) = v fails")
     vals = C.eval(g[:, None], g[None, :])
-    vols = _cell_volumes(vals)
-    if vols.size and vols.min() < -tol:
-        raise AssertionError(f"quasi-monotonicity fails: volume {vols.min():.3e}")
-    if np.max(vals - np.minimum(g[:, None], g[None, :])) > tol:
+    drop = worst(-_cell_volumes(vals))
+    if not drop <= tol:
+        raise AssertionError(f"quasi-monotonicity fails: volume {-drop:.3e}")
+    if not worst(vals - np.minimum(g[:, None], g[None, :])) <= tol:
         raise AssertionError("comonotone upper bound fails")
     rng = np.random.default_rng(seed)
     a = rng.uniform(size=(pair_samples, 2))
@@ -640,7 +647,7 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
     hi = np.maximum(a, b)
     diff = C.eval(hi[:, 0], hi[:, 1]) - C.eval(lo[:, 0], lo[:, 1])
     slack = (hi - lo).sum(axis=1)
-    if np.any(diff < -tol) or np.any(diff > slack + tol):
+    if not worst(-diff, diff - slack) <= tol:
         raise AssertionError("Lipschitz bound |dC| <= du + dv fails")
     return True
 

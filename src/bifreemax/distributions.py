@@ -19,6 +19,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,22 @@ def _cell_volumes(v):
     """Volumes v[i+1, j+1] - v[i, j+1] - v[i+1, j] + v[i, j] of the cells
     between adjacent lattice points."""
     return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+
+
+def _lattice_sums(cells, shape, masses):
+    """Cumulative sums of atom masses over a lattice of cells: entry ``b``
+    holds the mass of the atoms whose cell is at most ``b`` on every axis.
+
+    ``cells`` gives each atom's cell index per axis.  The masses are binned
+    with one ``bincount``, in O(k + prod(shape)) memory for k atoms.
+    """
+    # bincount returns integers when there are no atoms
+    sums = np.bincount(np.ravel_multi_index(cells, shape), weights=masses,
+                       minlength=math.prod(shape))
+    sums = sums.astype(np.float64, copy=False).reshape(shape)
+    for axis in range(sums.ndim):
+        sums = sums.cumsum(axis)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +504,45 @@ class DiscreteMeasure:
         arr = _as_float_array(atoms)
         return cls(arr[:, :2], arr[:, 2])
 
+    def _mass_above(self, axes, queries):
+        """Mass of the atoms lying strictly above ``queries`` on each of
+        ``axes``, with the shape of the broadcast queries (0 at a NaN).
+
+        Each axis is cut at whichever set is smaller, the atoms' distinct
+        coordinates or the queries' (a NaN query is a cut above every atom).
+        With atoms placed on the left and queries on the right of the cuts,
+        an atom lies above a query exactly when it has at least as many cuts
+        below it.  Cells are numbered from the top down, so the sums run
+        from the top end and a cell above every atom holds exactly 0.
+        """
+        coords = [self.points[:, a] for a in axes]
+        cuts = []
+        for x, q in zip(coords, queries):
+            xc, qc = np.unique(x), np.unique(q)
+            cuts.append(xc if xc.size <= qc.size else qc)
+        sums = _lattice_sums(
+            tuple(c.size - np.searchsorted(c, x, side="left")
+                  for c, x in zip(cuts, coords)),
+            tuple(c.size + 1 for c in cuts), self.masses)
+        return sums[tuple(c.size - np.searchsorted(c, q, side="right")
+                          for c, q in zip(cuts, queries))]
+
     def tail(self, x1, x2):
-        """Mass of the open upper quadrant (x, inf), exact."""
-        a1 = _as_float_array(x1)[..., None]
-        a2 = _as_float_array(x2)[..., None]
-        inside = (self.points[:, 0] > a1) & (self.points[:, 1] > a2)
-        out = (inside * self.masses).sum(axis=-1)
-        return _scalarize(out, x1, x2)
+        """Mass of the open upper quadrant (x, inf), exact.
+
+        Memory is O(k + q + min(k, q1) * min(k, q2)) for k atoms and q1, q2
+        distinct query coordinates per axis (q query points in all): O(k +
+        output) on a product probe grid, never more than O(k * q).
+        """
+        a1, a2 = _as_float_array(x1), _as_float_array(x2)
+        # queries that do not broadcast raise ValueError, not IndexError
+        np.broadcast_shapes(a1.shape, a2.shape)
+        return _scalarize(self._mass_above((0, 1), (a1, a2)), x1, x2)
 
     def marginal_tail(self, axis, x):
-        a = _as_float_array(x)[..., None]
-        out = ((self.points[:, axis] > a) * self.masses).sum(axis=-1)
-        return _scalarize(out, x)
+        """Mass of the open half-plane beyond ``x`` on ``axis``, exact, in
+        O(k + q) memory."""
+        return _scalarize(self._mass_above((axis,), (_as_float_array(x),)), x)
 
     def scaled(self, t):
         if t < 0:
@@ -647,20 +691,16 @@ def materialize(F, xknots, yknots, rect_support=False):
 
 
 def bdf_from_law(measure: DiscreteMeasure) -> GridBDF:
-    """Step DF of a purely atomic planar probability law."""
+    """Step DF of a purely atomic planar probability law, on the atoms'
+    distinct coordinates, in O(k + nx * ny) memory for k atoms."""
     if abs(measure.total_mass - 1.0) > 1e-9:
         raise ValueError("law must have total mass 1")
-    xs = np.unique(measure.points[:, 0])
-    ys = np.unique(measure.points[:, 1])
-    px = measure.points[:, 0][:, None, None]
-    py = measure.points[:, 1][:, None, None]
-    below = (px <= xs[None, :, None]) & (py <= ys[None, None, :])
-    vals = (below * measure.masses[:, None, None]).sum(axis=0)
-    m1 = GridUDF(xs, ((measure.points[:, 0][:, None] <= xs[None, :])
-                      * measure.masses[:, None]).sum(axis=0))
-    m2 = GridUDF(ys, ((measure.points[:, 1][:, None] <= ys[None, :])
-                      * measure.masses[:, None]).sum(axis=0))
-    return GridBDF(m1, m2, xs, ys, vals)
+    px, py = measure.points[:, 0], measure.points[:, 1]
+    xs, ys = np.unique(px), np.unique(py)
+    vals = _lattice_sums((np.searchsorted(xs, px), np.searchsorted(ys, py)),
+                         (xs.size, ys.size), measure.masses)
+    return GridBDF(GridUDF(xs, vals[:, -1]), GridUDF(ys, vals[-1, :]),
+                   xs, ys, vals)
 
 
 def law_from_bdf(F: GridBDF) -> DiscreteMeasure:

@@ -13,6 +13,7 @@ from bifreemax import (
     CoupledBDF,
     DiscreteMeasure,
     FGMCopula,
+    GridBDF,
     IndependenceCopula,
     bdf_from_law,
     check_maxid_coupling,
@@ -21,8 +22,9 @@ from bifreemax import (
     is_quasi_monotone,
     uniform_df,
 )
+from bifreemax import cli
 from bifreemax.cli import main
-from bifreemax.copulas import _FFormCopula
+from bifreemax.copulas import _FFormCopula, check_copula_axioms
 from bifreemax.distributions import _worst
 from bifreemax.serialize import bdf_to_obj, dump_json
 
@@ -50,6 +52,14 @@ class _HoledDF(BivariateDF):
     def _eval(self, x1, x2):
         hole = np.isclose(x1, 0.5) & np.isclose(x2, 0.5)
         return np.where(hole, np.nan, self.base.eval(x1, x2))
+
+
+class _HoledAMHCopula(AMHCopula):
+    """AMH(0.5) with a NaN at (0.5, 0.5)."""
+
+    def _eval(self, u, v):
+        hole = np.isclose(u, 0.5) & np.isclose(v, 0.5)
+        return np.where(hole, np.nan, super()._eval(u, v))
 
 
 def _uniform_pair(C):
@@ -99,8 +109,38 @@ class TestNaNNeverPasses:
         res = is_quasi_monotone(F, grid=(g, g))
         assert not res.ok and np.isnan(res.worst_volume)
 
+    def test_copula_axioms_with_a_nan_fail(self, monkeypatch, capsys):
+        assert check_copula_axioms(AMHCopula(0.5))
+        with pytest.raises(AssertionError):
+            check_copula_axioms(_HoledAMHCopula(0.5))
+        monkeypatch.setattr(cli, "parse_copula", lambda spec: _HoledAMHCopula(0.5))
+        assert main(["check", "copula-axioms", "holed"]) == 1
+        assert _strict(capsys.readouterr().out)["status"] == "fail"
+
 
 class TestUncheckableInputsRefused:
+    def test_check_maxid_needs_an_input(self, capsys):
+        assert main(["check", "maxid"]) == 4
+        assert "spec or --gaussian" in capsys.readouterr().err
+
+    def test_copula_axioms_grid_below_two(self, capsys):
+        with pytest.raises(ValueError, match="at least 2"):
+            check_copula_axioms(AMHCopula(0.5), n=1)
+        assert main(["--grid", "0", "check", "copula-axioms", "amh:theta=0.5"]) == 4
+        assert main(["--grid", "2", "check", "copula-axioms", "amh:theta=0.5"]) == 0
+        assert "at least 2" in capsys.readouterr().err
+
+    def test_one_probe_point_off_the_knots_is_inconclusive(self):
+        F = _uniform_pair(AMHCopula(-1.0))
+        assert is_bifree_maxid(F).status == "no"
+        v = is_bifree_maxid(F, grid=([0.0, 1.0], [0.0, 1.0]))
+        assert v.status == "inconclusive" and v.margin is None
+        # a step DF probed off its own knots is not known to be a point mass
+        G = GridBDF(uniform_df(), uniform_df(), [0.5, 1.0], [0.5, 1.0],
+                    [[0.2, 0.5], [0.5, 1.0]])
+        assert is_bifree_maxid(G, grid=([0.0, 1.0], [0.0, 1.0])).status \
+            == "inconclusive"
+
     def test_coupling_grid_below_three(self, capsys):
         for n in (1, 2):
             with pytest.raises(ValueError, match="grid_n"):

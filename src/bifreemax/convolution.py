@@ -86,7 +86,8 @@ class _FreeMaxConvUDF(UnivariateDF):
 
 class _FreePowerUDF(UnivariateDF):
     """Marginal of a convolution power: (t*F - (t-1))_+ for t >= 1, and the
-    canonical representative t*F + (1-t) on [L, inf) for t < 1."""
+    canonical representative t*F + (1-t) on [L, inf) for t < 1.  The lower
+    bound is finite in both cases, and ``eval`` cuts below it."""
 
     kind = "free-power"
 
@@ -103,11 +104,7 @@ class _FreePowerUDF(UnivariateDF):
         super().__init__(lower, base.saturation)
 
     def _eval(self, x):
-        t = self.t
-        v = t * self.base.eval(x) + (1.0 - t)
-        if t >= 1.0:
-            return np.maximum(v, 0.0)
-        return np.where(x < self.support_lower, 0.0, v)
+        return np.maximum(self.t * self.base.eval(x) + (1.0 - self.t), 0.0)
 
 
 def free_maxconv(F: UnivariateDF, G: UnivariateDF) -> UnivariateDF:
@@ -249,13 +246,20 @@ def bifree_power(F: BivariateDF, t) -> BivariateDF:
 # linearizing transforms
 # ---------------------------------------------------------------------------
 
-def product_ratio(F: BivariateDF, x1, x2):
-    """Q(x) = F1(x1) * F2(x2) / F(x); requires F > 0 at every request."""
-    f = np.asarray(F.eval(x1, x2))
-    if np.any(f <= 0.0):
+def _ratio_parts(F: BivariateDF, x1, x2):
+    """Q = F1*F2/F from the law's ratio, F1 and F2 at the queries; raises
+    SupportError where F = 0, that is where F1*F2 = 0 or Q = +inf."""
+    m1 = np.asarray(F.marginal1.eval(x1))
+    m2 = np.asarray(F.marginal2.eval(x2))
+    if np.any(m1 * m2 <= 0.0):
         raise SupportError("ratio transform requested where F = 0")
-    out = np.asarray(F.marginal1.eval(x1)) * np.asarray(F.marginal2.eval(x2)) / f
-    return _scalarize(out, x1, x2)
+    return np.asarray(F.q_eval(x1, x2)), m1, m2
+
+
+def product_ratio(F: BivariateDF, x1, x2):
+    """Q(x) = F1(x1) * F2(x2) / F(x), read from the law's ratio (exact for a
+    closed form); requires F > 0 at every request."""
+    return _scalarize(_ratio_parts(F, x1, x2)[0], x1, x2)
 
 
 def tail_functional(F: BivariateDF, x1, x2):
@@ -264,15 +268,17 @@ def tail_functional(F: BivariateDF, x1, x2):
     For max-i.d. DFs this equals lambda*(1 - H) for the normalized jump law
     H, and exp(-t*T) is a classical max-i.d. DF for every t > 0.
     """
-    q = np.asarray(product_ratio(F, x1, x2))
-    out = q - np.asarray(F.marginal1.eval(x1)) \
-        - np.asarray(F.marginal2.eval(x2)) + 1.0
-    return _scalarize(out, x1, x2)
+    q, m1, m2 = _ratio_parts(F, x1, x2)
+    return _scalarize(q - m1 - m2 + 1.0, x1, x2)
 
 
 # ---------------------------------------------------------------------------
 # the divisibility decision
 # ---------------------------------------------------------------------------
+
+# knots per axis of the default probe lattice of a non-grid DF
+_PROBE_KNOTS = 81
+
 
 @dataclass(frozen=True)
 class MaxIdWitness:
@@ -293,7 +299,7 @@ class MaxIdVerdict:
         return self.status == "yes"
 
 
-def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
+def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
     """Decide bi-free max-infinite divisibility on a verification grid.
 
     The decision uses the ratio Q = F1*F2/F on the positive rectangle:
@@ -315,7 +321,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None, resolution=81):
         if not np.isfinite(m.support_lower):
             return MaxIdVerdict("no",
                                 f"marginal {name} has support unbounded below")
-    xs, ys = _probe_grid(F, grid, resolution)
+    xs, ys = _probe_grid(F, grid, _PROBE_KNOTS)
 
     m1 = np.asarray(F.marginal1.eval(xs))
     m2 = np.asarray(F.marginal2.eval(ys))
@@ -437,23 +443,23 @@ class CompoundPoissonReport:
     distances: tuple
     final: float
 
-    def eventually_decreasing(self, slack=1e-12):
-        return eventually_decreasing(self.distances, slack)
+    def eventually_decreasing(self):
+        return eventually_decreasing(self.distances)
 
 
-def eventually_decreasing(values, slack=1e-12):
-    """True when the sequence is nonincreasing (within slack) from some
+def eventually_decreasing(values):
+    """True when the sequence is nonincreasing (within 1e-12) from some
     index onward, with at least the final half of the ladder covered."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         return True
-    rising = np.nonzero(np.diff(v) > slack)[0]
+    rising = np.nonzero(np.diff(v) > 1e-12)[0]
     if rising.size == 0:
         return True
     return rising[-1] + 1 <= (v.size - 1) // 2
 
 
-def compound_poisson_limit(lam, nu, p, ns=None, probe=None):
+def compound_poisson_limit(lam, nu, p, ns=None):
     """Convolution powers of (1 - lam/n)*delta_p + (lam/n)*nu against their
     exponent-measure limit.
 
@@ -461,7 +467,8 @@ def compound_poisson_limit(lam, nu, p, ns=None, probe=None):
     (or a grid DF, converted to its atomic law).  Returns the limit DF built
     from ``tau = lam * nu`` with lower corner
     ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` and a report of
-    sup-distances along the ``ns`` ladder.
+    sup-distances along the ``ns`` ladder, probed on the atoms' coordinates,
+    their midpoints and points below and beyond them.
     """
     if lam <= 0:
         raise ValueError("rate must be positive")
@@ -487,15 +494,13 @@ def compound_poisson_limit(lam, nu, p, ns=None, probe=None):
         lower.append(lj)
     limit = MeasureBDF(nu.scaled(lam), tuple(lower))
 
-    if probe is None:
-        cs = [np.unique(np.concatenate([nu.points[:, a], [p[a], lower[a]]]))
-              for a in range(2)]
-        probe = []
-        for c in cs:
-            mids = 0.5 * (c[:-1] + c[1:])
-            probe.append(np.unique(np.concatenate(
-                [c, mids, [c[0] - 0.5, c[-1] + 0.5, c[-1] + 1.5]])))
-        probe = (probe[0], probe[1])
+    probe = []
+    for a in range(2):
+        c = np.unique(np.concatenate([nu.points[:, a], [p[a], lower[a]]]))
+        mids = 0.5 * (c[:-1] + c[1:])
+        probe.append(np.unique(np.concatenate(
+            [c, mids, [c[0] - 0.5, c[-1] + 0.5, c[-1] + 1.5]])))
+    probe = tuple(probe)
 
     dists = []
     for n in ns:
@@ -521,7 +526,7 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
     ns = tuple(ns)
     if not ns or not all(n > 0 for n in ns):
         raise ValueError(f"ns must hold positive root orders, got {ns}")
-    xs, ys = _probe_grid(F, grid, 81)
+    xs, ys = _probe_grid(F, grid, _PROBE_KNOTS)
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
     for n in ns:
         vol = _cell_volumes(np.power(vals, 1.0 / float(n)))
@@ -543,8 +548,8 @@ class _ExpTailMarginalUDF(UnivariateDF):
         super().__init__(lower, base.saturation)
 
     def _eval(self, x):
-        v = np.exp(-self.t * (1.0 - self.base.eval(x)))
-        return np.where(x < self.support_lower, 0.0, v)
+        # ExpTailBDF gives a finite lower bound, below which eval cuts to 0
+        return np.exp(-self.t * (1.0 - self.base.eval(x)))
 
 
 class ExpTailBDF(RatioBDF):

@@ -254,13 +254,15 @@ class FuncPickands(PickandsFn):
 
 class SpectralPickands(PickandsFn):
     """A(t) = sum_i max(t*x_i, (1-t)*y_i) * m_i for a discrete measure on the
-    simplex {x + y = 1, x, y >= 0} obeying the unit mean constraints."""
+    simplex {x + y = 1, x, y >= 0} obeying the unit mean constraints, both
+    checked to within 1e-9."""
 
     form = "spectral"
     smooth = False
 
-    def __init__(self, measure: DiscreteMeasure, tol=1e-9):
+    def __init__(self, measure: DiscreteMeasure):
         pts, ms = measure.points, measure.masses
+        tol = 1e-9
         if np.any(np.abs(pts.sum(axis=1) - 1.0) > tol) or np.any(pts < -tol):
             raise ValueError("spectral measure must sit on the unit simplex")
         mx = float((pts[:, 0] * ms).sum())
@@ -313,9 +315,9 @@ def marshall_olkin_pickands(theta, phi):
         smooth=False)
 
 
-def pickands_from_measure(measure, tol=1e-9):
+def pickands_from_measure(measure):
     """Spectral Pickands function of a discrete simplex measure."""
-    return SpectralPickands(measure, tol=tol)
+    return SpectralPickands(measure)
 
 
 class EVCopula(Copula):
@@ -524,8 +526,7 @@ class CouplingVerdict:
         return self.member
 
 
-def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
-                         fd_step=1e-5, deriv_tol=1e-7):
+def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
     """Decide whether ``C = uv/f`` has a denominator with the structure that
     makes ``C(F1, F2)`` bi-freely max-infinitely divisible.
 
@@ -536,9 +537,9 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
     * -f is quasi-monotone (all f-volumes <= 0).
 
     Smooth mode replaces the monotonicity and volume checks by the central
-    finite-difference conditions 0 <= df/du, df/dv <= 1 and d2f/dudv <= 0;
-    it refuses families with kinks, whose derivative probes would fail
-    spuriously.
+    finite-difference conditions 0 <= df/du, df/dv <= 1 and d2f/dudv <= 0,
+    with step 1e-5 and tolerance max(tol, 1e-7); it refuses families with
+    kinks, whose derivative probes would fail spuriously.
 
     Returns a :class:`CouplingVerdict`; ``min_margin`` is the distance of the
     worst probe quantity from the failure threshold, so borderline parameter
@@ -575,7 +576,7 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
         ]
         threshold = tol
     else:
-        h = fd_step
+        h = 1e-5
         ps = np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h)
         ps = np.unique(ps)
         P, Q = np.meshgrid(ps, ps, indexing="ij")
@@ -591,7 +592,7 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
             (("df/dv upper", (P, Q)), fv - 1.0),
             (("mixed partial", (P, Q)), fuv),
         ]
-        threshold = max(tol, deriv_tol)
+        threshold = max(tol, 1e-7)
 
     bound_q, bound_tag, bound_at = _worst(boundary)
     worst_q, tag, at = _worst(quantities)
@@ -614,11 +615,12 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101,
 # axiom validators
 # ---------------------------------------------------------------------------
 
-def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
+def check_copula_axioms(C: Copula, n=101, tol=1e-9):
     """Probe the copula axioms; raises AssertionError on violation.
 
     Checks boundary values, quasi-monotonicity on a lattice, the comonotone
-    upper bound, and the two-sided Lipschitz estimate on sampled pairs.
+    upper bound, and the two-sided Lipschitz estimate on 500 pairs drawn
+    with seed 0.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2 to probe a cell, got {n}")
@@ -640,9 +642,9 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
         raise AssertionError(f"quasi-monotonicity fails: volume {-drop:.3e}")
     if not worst(vals - np.minimum(g[:, None], g[None, :])) <= tol:
         raise AssertionError("comonotone upper bound fails")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(size=(pair_samples, 2))
-    b = rng.uniform(size=(pair_samples, 2))
+    rng = np.random.default_rng(0)
+    a = rng.uniform(size=(500, 2))
+    b = rng.uniform(size=(500, 2))
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     diff = C.eval(hi[:, 0], hi[:, 1]) - C.eval(lo[:, 0], lo[:, 1])
@@ -652,10 +654,12 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9, pair_samples=500, seed=0):
     return True
 
 
-def check_pickands(A: PickandsFn, n=201, tol=1e-9):
-    """Probe Pickands axioms: endpoints, bounds, and discrete convexity."""
-    t = np.linspace(0.0, 1.0, n)
+def check_pickands(A: PickandsFn):
+    """Probe Pickands axioms: endpoints, bounds, and discrete convexity, on
+    201 points to within 1e-9."""
+    t = np.linspace(0.0, 1.0, 201)
     a = np.asarray(A.eval(t))
+    tol = 1e-9
     if abs(a[0] - 1.0) > tol or abs(a[-1] - 1.0) > tol:
         raise AssertionError("A(0) = A(1) = 1 fails")
     if np.any(a > 1.0 + tol) or np.any(a < np.maximum(t, 1.0 - t) - tol):

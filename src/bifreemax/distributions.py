@@ -127,11 +127,11 @@ class UnivariateDF:
     def __call__(self, x):
         return self.eval(x)
 
-    def quantile_exceed(self, c, hi_hint=None):
+    def quantile_exceed(self, c):
         """inf{x : F(x) > c} for c in [0, 1), found by bisection.
 
-        Exact for grid-backed DFs.  ``hi_hint`` supplies a finite search
-        bracket when the saturation point is infinite.
+        Exact for grid-backed DFs.  An infinite saturation point is bracketed
+        by doubling outward from the lower bracket.
         """
         if not 0.0 <= c < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {c}")
@@ -144,7 +144,7 @@ class UnivariateDF:
                     raise ValueError("no finite lower bracket for quantile search")
         hi = self.saturation
         if not np.isfinite(hi):
-            hi = hi_hint if hi_hint is not None else max(abs(lo), 1.0)
+            hi = max(abs(lo), 1.0)
             while self.eval(hi) <= c:
                 hi = 2.0 * hi + 1.0
                 if hi > 1e12:
@@ -201,7 +201,7 @@ class GridUDF(UnivariateDF):
         out = self.values[np.clip(idx, 0, self.knots.size - 1)]
         return np.where(idx < 0, 0.0, out)
 
-    def quantile_exceed(self, c, hi_hint=None):
+    def quantile_exceed(self, c):
         if not 0.0 <= c < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {c}")
         pos = np.nonzero(self.values > c)[0]
@@ -373,8 +373,7 @@ class GridBDF(BivariateDF):
 
     kind = "grid"
 
-    def __init__(self, marginal1, marginal2, xknots, yknots, values,
-                 rect_support=False):
+    def __init__(self, marginal1, marginal2, xknots, yknots, values):
         super().__init__(marginal1, marginal2)
         self.xknots = np.atleast_1d(_as_float_array(xknots))
         self.yknots = np.atleast_1d(_as_float_array(yknots))
@@ -388,7 +387,6 @@ class GridBDF(BivariateDF):
         if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
             raise ValueError("values must lie in [0, 1]")
         self.values = np.clip(self.values, 0.0, 1.0)
-        self.rect_support = bool(rect_support)
 
     def _eval(self, x1, x2):
         i = np.searchsorted(self.xknots, x1, side="right") - 1
@@ -409,45 +407,32 @@ class GridBDF(BivariateDF):
             vals = np.where(o1 & o2, 1.0, vals)
         return vals
 
-    def cell_volumes(self):
-        return _cell_volumes(self.values)
-
-    def validate(self, tol=1e-9, marginal_tol=None):
+    def validate(self, tol=1e-9):
         """Check DF axioms on the grid; raises ValueError on violation.
 
         Verifies per-axis monotonicity, quasi-monotonicity of the lattice,
-        agreement of the last row/column with the marginals, and, when
-        ``rect_support`` is set, that {F>0} is the product of the marginal
-        positivity sets.
+        and agreement of the last row/column with the marginals where the
+        lattice reaches a marginal's saturation point.
         """
-        if marginal_tol is None:
-            marginal_tol = tol
         if np.any(np.diff(self.values, axis=0) < -tol):
             raise ValueError("values decrease along the x axis")
         if np.any(np.diff(self.values, axis=1) < -tol):
             raise ValueError("values decrease along the y axis")
-        drop, _, ij = _worst([("volume", -self.cell_volumes())])
+        drop, _, ij = _worst([("volume", -_cell_volumes(self.values))])
         if not drop <= tol:
             raise ValueError(f"negative cell volume {-drop:.3e} at cell {ij}")
-        m1 = self.marginal1.eval(self.xknots)
-        m2 = self.marginal2.eval(self.yknots)
         if np.isfinite(self.marginal2.saturation) and \
                 self.yknots[-1] >= self.marginal2.saturation:
+            m1 = self.marginal1.eval(self.xknots)
             err = np.max(np.abs(self.values[:, -1] - m1))
-            if err > marginal_tol:
+            if err > tol:
                 raise ValueError(f"last column deviates from marginal1 by {err:.3e}")
         if np.isfinite(self.marginal1.saturation) and \
                 self.xknots[-1] >= self.marginal1.saturation:
+            m2 = self.marginal2.eval(self.yknots)
             err = np.max(np.abs(self.values[-1, :] - m2))
-            if err > marginal_tol:
+            if err > tol:
                 raise ValueError(f"last row deviates from marginal2 by {err:.3e}")
-        if self.rect_support:
-            pos = self.values > 0.0
-            rect = (m1[:, None] > 0.0) & (m2[None, :] > 0.0)
-            if np.any(pos != rect):
-                ij = np.argwhere(pos != rect)[0]
-                raise ValueError(
-                    f"support is not the marginal rectangle at knot index {tuple(ij)}")
         return self
 
 
@@ -681,26 +666,27 @@ def sup_distance_1d(F, G, xs):
     return float(np.max(np.abs(F.eval(xs) - G.eval(xs))))
 
 
-def materialize(F, xknots, yknots, rect_support=False):
+def materialize(F, xknots, yknots):
     """Sample an arbitrary bivariate DF onto a step grid."""
     xs = _as_float_array(xknots)
     ys = _as_float_array(yknots)
     values = F.eval(xs[:, None], ys[None, :])
-    return GridBDF(F.marginal1, F.marginal2, xs, ys, values,
-                   rect_support=rect_support)
+    return GridBDF(F.marginal1, F.marginal2, xs, ys, values)
 
 
 def bdf_from_law(measure: DiscreteMeasure) -> GridBDF:
     """Step DF of a purely atomic planar probability law, on the atoms'
-    distinct coordinates, in O(k + nx * ny) memory for k atoms."""
+    distinct coordinates, in O(k + nx * ny) memory for k atoms.  Each
+    marginal saturates at its last coordinate, even where the summed masses
+    round to just below 1."""
     if abs(measure.total_mass - 1.0) > 1e-9:
         raise ValueError("law must have total mass 1")
     px, py = measure.points[:, 0], measure.points[:, 1]
     xs, ys = np.unique(px), np.unique(py)
     vals = _lattice_sums((np.searchsorted(xs, px), np.searchsorted(ys, py)),
                          (xs.size, ys.size), measure.masses)
-    return GridBDF(GridUDF(xs, vals[:, -1]), GridUDF(ys, vals[-1, :]),
-                   xs, ys, vals)
+    return GridBDF(GridUDF(xs, vals[:, -1], saturation=xs[-1]),
+                   GridUDF(ys, vals[-1, :], saturation=ys[-1]), xs, ys, vals)
 
 
 def law_from_bdf(F: GridBDF) -> DiscreteMeasure:

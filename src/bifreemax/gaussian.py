@@ -59,10 +59,6 @@ class GaussianCorr:
         if not -1.0 <= self.c <= 1.0:
             raise ValueError("correlation must lie in [-1, 1]")
 
-    @property
-    def has_density(self):
-        return abs(self.c) < 1.0
-
 
 def _c_value(c):
     return c.c if isinstance(c, GaussianCorr) else float(c)
@@ -114,11 +110,12 @@ def _cdf_values(c, xknots, yknots, order=16):
     return np.clip(vals, 0.0, 1.0)
 
 
-def cdf_grid(c, resolution=101, order=16):
+def cdf_grid(c, resolution=101):
     """Grid DF of the family on [-2, 2]^2 with semicircle marginals.
 
     Knots are placed at 2*sin(phi) for uniform phi, which concentrates them
-    quadratically near the edges where the divisibility analysis looks.
+    quadratically near the edges where the divisibility analysis looks; the
+    cells are integrated with order-16 panels.
     """
     cv = _c_value(c)
     if abs(cv) >= 1.0:
@@ -126,7 +123,7 @@ def cdf_grid(c, resolution=101, order=16):
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, resolution)
     knots = 2.0 * np.sin(phis)
     knots[0], knots[-1] = -2.0, 2.0
-    vals = _cdf_values(cv, knots, knots, order=order)
+    vals = _cdf_values(cv, knots, knots)
     m = semicircle_df()
     return GridBDF(m, semicircle_df(), knots, knots, vals)
 
@@ -143,9 +140,9 @@ class IdentityReport:
         return abs(self.value - self.reference)
 
 
-def identity_check(c, x, tol=1e-9, order=32):
+def identity_check(c, x):
     """Quadrature of the semicircle-weighted kernel slice against its
-    closed-form value 2 pi / (1 - c^2)."""
+    closed-form value 2 pi / (1 - c^2), adaptive to within 1e-9."""
     cv = _c_value(c)
     if abs(cv) >= 1.0:
         raise NoDensityError("identity requires |c| < 1")
@@ -157,21 +154,21 @@ def identity_check(c, x, tol=1e-9, order=32):
         t = 2.0 * np.sin(psi)
         return 4.0 * np.cos(psi) ** 2 / kernel_denominator(cv, x, t)
 
-    val = adaptive_panels(integrand, -math.pi / 2.0, math.pi / 2.0,
-                          tol=tol, order=order)
+    val = adaptive_panels(integrand, -math.pi / 2.0, math.pi / 2.0, tol=1e-9)
     return IdentityReport(cv, x, val, 2.0 * math.pi / (1.0 - cv * cv))
 
 
-def comparison_integral(c, x, y, order=24, panels=24):
+def comparison_integral(c, x, y):
     """Integral over [-2, x] x [-2, y] of
-    sqrt(4-s^2) sqrt(4-t^2) [1/D_c(s, t) - 1/D_c(x, t)].
+    sqrt(4-s^2) sqrt(4-t^2) [1/D_c(s, t) - 1/D_c(x, t)], by order-24 panels
+    on 23 equal phi-intervals per axis.
 
     Its sign decides the monotonicity of the product ratio in x: negative
     for c in (-1, 0) at every interior point, positive for c in (0, 1).
     """
     cv = _c_value(c)
-    ps = np.linspace(-math.pi / 2.0, math.asin(np.clip(x / 2.0, -1, 1)), panels)
-    pt = np.linspace(-math.pi / 2.0, math.asin(np.clip(y / 2.0, -1, 1)), panels)
+    ps = np.linspace(-math.pi / 2.0, math.asin(np.clip(x / 2.0, -1, 1)), 24)
+    pt = np.linspace(-math.pi / 2.0, math.asin(np.clip(y / 2.0, -1, 1)), 24)
 
     def integrand(phi, psi):
         s = 2.0 * np.sin(phi)
@@ -181,7 +178,7 @@ def comparison_integral(c, x, y, order=24, panels=24):
         return w * (1.0 / kernel_denominator(cv, s, t)
                     - 1.0 / kernel_denominator(cv, x, t)) * jac
 
-    return float(tensor_cells(integrand, ps, pt, order=order).sum())
+    return float(tensor_cells(integrand, ps, pt, order=24).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +210,9 @@ class GaussianVerdict:
         return self.status == "maxid"
 
 
-def _ratio_decrease_witness(c, resolution, order):
+def _ratio_decrease_witness(c, resolution):
     """For c < 0: adjacent x-pair on which F1*F2/F drops, at fixed y."""
-    F = cdf_grid(c, resolution=resolution, order=order)
+    F = cdf_grid(c, resolution=resolution)
     m = F.marginal1.eval(F.xknots)
     interior = (F.xknots > -1.9) & (F.xknots < 1.9)
     idx = np.nonzero(interior)[0]
@@ -230,10 +227,11 @@ def _ratio_decrease_witness(c, resolution, order):
                            float(q[i, j]), float(q[i + 1, j]))
 
 
-def _tail_increase_witness(c, order, depth=1e-4, span=1.2, points=33):
+def _tail_increase_witness(c, order, depth, points):
     """For c in (0, 1): adjacent x-pair near the lower corner on which the
-    tail functional rises, at fixed y."""
-    offsets = np.geomspace(depth, span, points)
+    tail functional rises, at fixed y, among ``points`` knots placed
+    geometrically from ``depth`` to 1.2 above -2."""
+    offsets = np.geomspace(depth, 1.2, points)
     knots = np.concatenate(([-2.0], -2.0 + offsets))
     vals = _cdf_values(c, knots, knots, order=order)
     m = semicircle_df().eval(knots)
@@ -247,14 +245,14 @@ def _tail_increase_witness(c, order, depth=1e-4, span=1.2, points=33):
                            float(t[i, j]), float(t[i + 1, j]))
 
 
-def maxid_verdict(c, resolution=61, order=16, margin=1e-8):
+def maxid_verdict(c, resolution=61):
     """Bi-free max-infinite divisibility of the family member with
     correlation ``c``.
 
     c = 0 and c = 1 are divisible (independent product, comonotone line);
     c = -1 fails the support-rectangle requirement; for other c a numeric
-    witness of the violated monotonicity is located and must clear
-    ``margin``, else the verdict degrades to inconclusive.
+    witness of the violated monotonicity is located and must clear 1e-8,
+    else the verdict degrades to inconclusive.
     """
     cv = _c_value(c)
     if not -1.0 <= cv <= 1.0:
@@ -276,18 +274,16 @@ def maxid_verdict(c, resolution=61, order=16, margin=1e-8):
             "marginal rectangle",
             GaussianWitness("support-rectangle", -1.0, 1.5, -1.0, lo, 0.0))
     if cv < 0.0:
-        w = _ratio_decrease_witness(cv, resolution, order)
-        if w.low_value - w.high_value > margin:
+        w = _ratio_decrease_witness(cv, resolution)
+        if w.low_value - w.high_value > 1e-8:
             return GaussianVerdict(cv, "not-maxid", w.mechanism, w)
         return GaussianVerdict(cv, "inconclusive",
                                "no ratio decrease above margin", w)
-    w = _tail_increase_witness(cv, order)
-    if w.high_value - w.low_value > margin:
-        return GaussianVerdict(cv, "not-maxid", w.mechanism, w)
-    w = _tail_increase_witness(cv, order=max(order, 24), depth=1e-6,
-                               points=49)
-    if w.high_value - w.low_value > margin:
-        return GaussianVerdict(cv, "not-maxid", w.mechanism, w)
+    # a coarse probe first, then a finer one deeper into the corner
+    for order, depth, points in ((16, 1e-4, 33), (24, 1e-6, 49)):
+        w = _tail_increase_witness(cv, order, depth, points)
+        if w.high_value - w.low_value > 1e-8:
+            return GaussianVerdict(cv, "not-maxid", w.mechanism, w)
     return GaussianVerdict(cv, "inconclusive",
                            "no tail-functional increase above margin near "
                            "the lower corner", w)

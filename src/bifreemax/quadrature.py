@@ -40,16 +40,17 @@ def panel_nodes(edges, order=32):
     return mid + half * nodes[None, :], half * weights[None, :]
 
 
-def adaptive_panels(f, a, b, tol=1e-8, order=32, max_depth=28):
+def adaptive_panels(f, a, b, tol=1e-8):
     """Integrate by bisecting panels until refinement moves less than tol.
 
-    Each panel's order-``order`` estimate is compared against the sum over
-    its two halves; panels are split while the difference exceeds the
-    panel's share tol*(panel width)/(b - a).
+    Each panel's order-32 estimate is compared against the sum over its two
+    halves; panels are split while the difference exceeds the panel's share
+    tol*(panel width)/(b - a).  Splitting stops at depth 28, a panel
+    2^-28 of the interval wide, whether or not the panel has converged.
     """
 
     def estimate(lo, hi):
-        x, w = panel_nodes([lo, hi], order)
+        x, w = panel_nodes([lo, hi], 32)
         return float(np.sum(w * f(x)))
 
     total = 0.0
@@ -60,7 +61,7 @@ def adaptive_panels(f, a, b, tol=1e-8, order=32, max_depth=28):
         left = estimate(lo, mid)
         right = estimate(mid, hi)
         refined = left + right
-        if abs(refined - whole) < tol * (hi - lo) / (b - a) or depth >= max_depth:
+        if abs(refined - whole) < tol * (hi - lo) / (b - a) or depth >= 28:
             total += refined
         else:
             stack.append((lo, mid, left, depth + 1))

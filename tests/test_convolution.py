@@ -450,3 +450,14 @@ class TestClassicalBridge:
             vals = G.eval(grid[0][:, None], grid[1][None, :])
             assert np.all(np.diff(vals, axis=0) >= -1e-12)
             assert np.all(np.diff(vals, axis=1) >= -1e-12)
+
+
+class TestRatioFromQ:
+    def test_coupled_ratio_is_the_copula_denominator(self):
+        C = AMHCopula(0.7)
+        F = uniforms(C)
+        xs = np.linspace(0.01, 1.0, 100)
+        q = product_ratio(F, xs[:, None], xs[None, :])
+        assert np.array_equal(q, C.f_eval(xs[:, None], xs[None, :]))
+        t = tail_functional(F, xs[:, None], xs[None, :])
+        assert np.array_equal(t, q - xs[:, None] - xs[None, :] + 1.0)

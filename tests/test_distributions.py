@@ -252,3 +252,40 @@ class TestGridValidate:
         F = GridBDF(m, m, [0.0, 1.0], [0.0, 1.0], [[0.0, 0.5], [0.5, 0.6]])
         with pytest.raises(ValueError, match="volume"):
             F.validate()
+
+    def test_validate_catches_fall_along_x(self):
+        m = GridUDF([0.0, 1.0], [0.5, 1.0])
+        F = GridBDF(m, m, [0.0, 1.0], [0.0, 1.0], [[0.5, 0.5], [0.4, 0.6]])
+        with pytest.raises(ValueError, match="decrease along the x axis"):
+            F.validate()
+
+    def test_validate_catches_fall_along_y(self):
+        m = GridUDF([0.0, 1.0], [0.5, 1.0])
+        F = GridBDF(m, m, [0.0, 1.0], [0.0, 1.0], [[0.5, 0.4], [0.6, 0.7]])
+        with pytest.raises(ValueError, match="decrease along the y axis"):
+            F.validate()
+
+    def test_validate_catches_last_column_off_marginal1(self):
+        m = uniform_df(0, 1)
+        F = GridBDF(m, m, [0.5, 1.0], [0.5, 1.0], [[0.25, 0.4], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="last column deviates from marginal1"):
+            F.validate()
+
+    def test_validate_catches_last_row_off_marginal2(self):
+        m = uniform_df(0, 1)
+        F = GridBDF(m, m, [0.5, 1.0], [0.5, 1.0], [[0.25, 0.5], [0.4, 1.0]])
+        with pytest.raises(ValueError, match="last row deviates from marginal2"):
+            F.validate()
+
+
+class TestLawSaturation:
+    def test_marginals_saturate_when_masses_sum_below_one(self):
+        # ten masses of 0.1 add up to 1 - 1.1e-16 in order
+        k = np.arange(10.0)
+        F = bdf_from_law(DiscreteMeasure(np.column_stack([k, k[::-1]]),
+                                         np.full(10, 0.1)))
+        assert F.values[-1, -1] < 1.0
+        for m in (F.marginal1, F.marginal2):
+            assert m.saturation == 9.0
+            assert np.all(m.eval([9.0, 9.5, 1e6]) == 1.0)
+        assert F.eval(9.5, 9.5) == 1.0

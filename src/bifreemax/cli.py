@@ -4,11 +4,13 @@ Subcommands wrap the library operations and emit deterministic CSV/JSON
 artifacts: ``convolve``, ``power``, ``transform``, ``check``, ``build``,
 ``gaussian``, ``experiment``.  Verdict-producing commands exit 0 for a
 positive verdict (member / yes / maxid), 1 for a negative one, and 2 for
-inconclusive.  Malformed specs or inputs exit 4 with a diagnostic on
-stderr, as do checks that could cover nothing: an empty or non-positive
-``--ns``, ``--grid`` below 3 for ``check copula`` or below 2 for ``check
-copula-axioms``, and ``check maxid`` with neither a spec nor
-``--gaussian`` (argparse usage errors keep the stdlib exit code 2).
+inconclusive.  Malformed specs or inputs (a ``frechet`` or ``weibull``
+alpha <= 0 among them) exit 4 with a diagnostic on stderr, as do runs that
+could cover nothing: an empty or non-positive ``--ns``, ``--grid`` below 3
+for ``check copula`` or below 2 for ``check copula-axioms``, ``check
+maxid`` with neither a spec nor ``--gaussian``, and ``experiment
+compound-poisson --max-log2`` below 1 (argparse usage errors keep the
+stdlib exit code 2).
 """
 
 from __future__ import annotations

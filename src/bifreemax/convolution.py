@@ -341,28 +341,20 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
                          (float(xs[i]), float(ys[j])),
                          (float(xs[i]), float(ys[j])), float(vals[i, j])))
 
-    xi = np.nonzero(p1)[0]
-    yi = np.nonzero(p2)[0]
-    xs, ys = xs[xi], ys[yi]
-    m1, m2 = m1[xi], m2[yi]
-    q = m1[:, None] * m2[None, :] / vals[np.ix_(xi, yi)]
+    xs, ys, m1, m2 = xs[p1], ys[p2], m1[p1], m2[p2]
+    q = m1[:, None] * m2[None, :] / vals[np.ix_(p1, p2)]
 
-    # tags: (check name, index step from the lower to the upper corner)
-    checks = []
-    d1 = np.diff(m1)
-    d2 = np.diff(m2)
-    if q.shape[0] > 1:
-        dqx = np.diff(q, axis=0)
-        checks.append((("ratio-increasing-x", (1, 0)), -dqx))
-        checks.append((("ratio-increment-bound-x", (1, 0)), dqx - d1[:, None]))
-    if q.shape[1] > 1:
-        dqy = np.diff(q, axis=1)
-        checks.append((("ratio-increasing-y", (0, 1)), -dqy))
-        checks.append((("ratio-increment-bound-y", (0, 1)), dqy - d2[None, :]))
-    if q.shape[0] > 1 and q.shape[1] > 1:
-        checks.append((("ratio-volume", (1, 1)), _cell_volumes(q)))
-
-    worst, tag, at = _worst(checks)
+    # tags: (check name, index step from the lower to the upper corner); on
+    # a one-row or one-column lattice the blocks across it are empty
+    dqx = np.diff(q, axis=0)
+    dqy = np.diff(q, axis=1)
+    worst, tag, at = _worst([
+        (("ratio-increasing-x", (1, 0)), -dqx),
+        (("ratio-increment-bound-x", (1, 0)), dqx - np.diff(m1)[:, None]),
+        (("ratio-increasing-y", (0, 1)), -dqy),
+        (("ratio-increment-bound-y", (0, 1)), dqy - np.diff(m2)[None, :]),
+        (("ratio-volume", (1, 1)), _cell_volumes(q)),
+    ])
     # one positive probe point leaves no pair to compare and no margin; only
     # on the knots of a step DF is it a point mass, which is max-i.d.
     if tag is None and not (grid is None and isinstance(F, GridBDF)):
@@ -480,6 +472,8 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     if ns is None:
         ns = [2 ** k for k in range(1, 11)]
     ns = [int(n) for n in ns]
+    if not ns:
+        raise ValueError("ns must hold at least one n")
     if any(n < lam for n in ns):
         raise ValueError("every n must satisfy n >= lam")
 

@@ -615,6 +615,11 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
 # axiom validators
 # ---------------------------------------------------------------------------
 
+def _worst_of(*arrays):
+    """Largest entry of ``arrays``; a NaN is the largest, so it fails."""
+    return _worst([("", a) for a in arrays])[0]
+
+
 def check_copula_axioms(C: Copula, n=101, tol=1e-9):
     """Probe the copula axioms; raises AssertionError on violation.
 
@@ -624,23 +629,18 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9):
     """
     if n < 2:
         raise ValueError(f"n must be at least 2 to probe a cell, got {n}")
-
-    def worst(*arrays):
-        # a NaN is the worst entry, so what could not be computed fails
-        return _worst([("", a) for a in arrays])[0]
-
     g = np.linspace(0.0, 1.0, n)
     z = np.zeros_like(g)
     o = np.ones_like(g)
-    if not worst(np.abs(C.eval(g, z)), np.abs(C.eval(z, g))) <= tol:
+    if not _worst_of(np.abs(C.eval(g, z)), np.abs(C.eval(z, g))) <= tol:
         raise AssertionError("boundary C(u,0) = 0 = C(0,v) fails")
-    if not worst(np.abs(C.eval(g, o) - g), np.abs(C.eval(o, g) - g)) <= tol:
+    if not _worst_of(np.abs(C.eval(g, o) - g), np.abs(C.eval(o, g) - g)) <= tol:
         raise AssertionError("boundary C(u,1) = u or C(1,v) = v fails")
     vals = C.eval(g[:, None], g[None, :])
-    drop = worst(-_cell_volumes(vals))
+    drop = _worst_of(-_cell_volumes(vals))
     if not drop <= tol:
         raise AssertionError(f"quasi-monotonicity fails: volume {-drop:.3e}")
-    if not worst(vals - np.minimum(g[:, None], g[None, :])) <= tol:
+    if not _worst_of(vals - np.minimum(g[:, None], g[None, :])) <= tol:
         raise AssertionError("comonotone upper bound fails")
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(500, 2))
@@ -649,7 +649,7 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9):
     hi = np.maximum(a, b)
     diff = C.eval(hi[:, 0], hi[:, 1]) - C.eval(lo[:, 0], lo[:, 1])
     slack = (hi - lo).sum(axis=1)
-    if not worst(-diff, diff - slack) <= tol:
+    if not _worst_of(-diff, diff - slack) <= tol:
         raise AssertionError("Lipschitz bound |dC| <= du + dv fails")
     return True
 
@@ -660,11 +660,10 @@ def check_pickands(A: PickandsFn):
     t = np.linspace(0.0, 1.0, 201)
     a = np.asarray(A.eval(t))
     tol = 1e-9
-    if abs(a[0] - 1.0) > tol or abs(a[-1] - 1.0) > tol:
+    if not _worst_of(np.abs(a[[0, -1]] - 1.0)) <= tol:
         raise AssertionError("A(0) = A(1) = 1 fails")
-    if np.any(a > 1.0 + tol) or np.any(a < np.maximum(t, 1.0 - t) - tol):
+    if not _worst_of(a - 1.0, np.maximum(t, 1.0 - t) - a) <= tol:
         raise AssertionError("bounds max(t, 1-t) <= A <= 1 fail")
-    mid = 0.5 * (a[:-2] + a[2:])
-    if np.any(a[1:-1] > mid + tol):
+    if not _worst_of(a[1:-1] - 0.5 * (a[:-2] + a[2:])) <= tol:
         raise AssertionError("convexity fails on the probe grid")
     return True

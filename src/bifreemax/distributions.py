@@ -411,8 +411,9 @@ class GridBDF(BivariateDF):
         """Check DF axioms on the grid; raises ValueError on violation.
 
         Verifies per-axis monotonicity, quasi-monotonicity of the lattice,
-        and agreement of the last row/column with the marginals where the
-        lattice reaches a marginal's saturation point.
+        agreement of the last row/column with the marginals where the
+        lattice reaches a marginal's saturation point, and the bound
+        F <= min(F1, F2) at every knot.
         """
         if np.any(np.diff(self.values, axis=0) < -tol):
             raise ValueError("values decrease along the x axis")
@@ -421,18 +422,22 @@ class GridBDF(BivariateDF):
         drop, _, ij = _worst([("volume", -_cell_volumes(self.values))])
         if not drop <= tol:
             raise ValueError(f"negative cell volume {-drop:.3e} at cell {ij}")
+        m1 = np.asarray(self.marginal1.eval(self.xknots))
+        m2 = np.asarray(self.marginal2.eval(self.yknots))
         if np.isfinite(self.marginal2.saturation) and \
                 self.yknots[-1] >= self.marginal2.saturation:
-            m1 = self.marginal1.eval(self.xknots)
             err = np.max(np.abs(self.values[:, -1] - m1))
             if err > tol:
                 raise ValueError(f"last column deviates from marginal1 by {err:.3e}")
         if np.isfinite(self.marginal1.saturation) and \
                 self.xknots[-1] >= self.marginal1.saturation:
-            m2 = self.marginal2.eval(self.yknots)
             err = np.max(np.abs(self.values[-1, :] - m2))
             if err > tol:
                 raise ValueError(f"last row deviates from marginal2 by {err:.3e}")
+        excess, _, ij = _worst([("bound", self.values - np.minimum.outer(m1, m2))])
+        if not excess <= tol:
+            raise ValueError(f"value exceeds min(F1, F2) by {excess:.3e} "
+                             f"at knot {ij}")
         return self
 
 

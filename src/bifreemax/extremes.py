@@ -6,10 +6,11 @@ The map ``G -> (1 + log G)_+`` carries each classical extreme type to its
 free counterpart (Gumbel to exponential, Frechet to Pareto, Weibull to the
 beta-type law) and turns pointwise products into free max-convolutions, so
 both theories share normalizing sequences and domains of attraction.  A
-bivariate extreme-value DF couples classical marginals through
-``exp[(log G1 + log G2) A(log G1 / (log G1 + log G2))]``; its bi-free
-counterpart couples free marginals through the ratio copula generated by
-the same Pickands function.
+bivariate extreme-value DF is the extreme-value copula
+``exp[log(uv) A(log u / log(uv))]`` of a Pickands function ``A`` applied to
+its classical marginals; its bi-free counterpart couples free marginals
+through the ratio copula generated by the same Pickands function.  Both are
+a :class:`CoupledBDF`, one copula over two marginals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import bifree_power
-from .copulas import BiFreeCopula, PickandsFn
+from .copulas import BiFreeCopula, EVCopula, PickandsFn
 from .distributions import (
     BivariateDF,
     CoupledBDF,
@@ -124,33 +125,10 @@ def free_from_classical(G: UnivariateDF) -> UnivariateDF:
     return _FreeTypeUDF(G)
 
 
-class ClassicalMEVBDF(BivariateDF):
-    """Bivariate extreme-value DF from classical marginals and a Pickands
-    dependence function."""
-
-    kind = "classical-mev"
-
-    def __init__(self, g1, g2, pickands: PickandsFn):
-        super().__init__(g1, g2)
-        self.pickands = pickands
-
-    def _eval(self, x1, x2):
-        g1 = np.asarray(self.marginal1.eval(x1))
-        g2 = np.asarray(self.marginal2.eval(x2))
-        out = np.zeros(np.broadcast(g1, g2).shape)
-        pos = (g1 > 0.0) & (g2 > 0.0)
-        if np.any(pos):
-            l1 = np.log(g1[pos])
-            l2 = np.log(g2[pos])
-            w = l1 + l2
-            t = np.where(w < 0.0, l1 / np.where(w < 0.0, w, -1.0), 0.5)
-            out[pos] = np.exp(w * np.asarray(self.pickands.eval(t)))
-        return out
-
-
 def classical_mev(G1, G2, A: PickandsFn) -> BivariateDF:
-    """Max-stable coupling exp[(log G1 + log G2) A(log G1/(log G1+log G2))]."""
-    return ClassicalMEVBDF(G1, G2, A)
+    """Max-stable coupling exp[(log G1 + log G2) A(log G1/(log G1+log G2))]:
+    the extreme-value copula of ``A`` applied to classical marginals."""
+    return CoupledBDF(EVCopula(A), G1, G2)
 
 
 def bifree_ev(F1, F2, A: PickandsFn) -> BivariateDF:

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GridBDF, _as_float_array, _scalarize, semicircle_df
+from .convolution import product_ratio, tail_functional
+from .distributions import (GridBDF, _as_float_array, _scalarize, _worst,
+                            semicircle_df)
 from .quadrature import adaptive_panels, tensor_cells
 
 __all__ = [
@@ -123,9 +125,8 @@ def cdf_grid(c, resolution=101):
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, resolution)
     knots = 2.0 * np.sin(phis)
     knots[0], knots[-1] = -2.0, 2.0
-    vals = _cdf_values(cv, knots, knots)
     m = semicircle_df()
-    return GridBDF(m, semicircle_df(), knots, knots, vals)
+    return GridBDF(m, m, knots, knots, _cdf_values(cv, knots, knots))
 
 
 @dataclass(frozen=True)
@@ -210,39 +211,37 @@ class GaussianVerdict:
         return self.status == "maxid"
 
 
+def _steepest_step(mechanism, knots, surface, rising):
+    """Witness of the largest rise (``rising``) or drop of ``surface`` between
+    adjacent x-knots at fixed y, both axes on ``knots``."""
+    rise = surface[1:, :] - surface[:-1, :]
+    _, _, at = _worst([(mechanism, rise if rising else -rise)])
+    if at is None:
+        raise ValueError("the probe lattice holds no pair of knots to compare")
+    i, j = at
+    return GaussianWitness(mechanism, float(knots[i]), float(knots[i + 1]),
+                           float(knots[j]),
+                           float(surface[i, j]), float(surface[i + 1, j]))
+
+
 def _ratio_decrease_witness(c, resolution):
     """For c < 0: adjacent x-pair on which F1*F2/F drops, at fixed y."""
     F = cdf_grid(c, resolution=resolution)
-    m = F.marginal1.eval(F.xknots)
-    interior = (F.xknots > -1.9) & (F.xknots < 1.9)
-    idx = np.nonzero(interior)[0]
-    vals = F.values[np.ix_(idx, idx)]
-    mv = m[idx]
-    q = mv[:, None] * mv[None, :] / vals
-    drop = q[:-1, :] - q[1:, :]
-    i, j = np.unravel_index(np.argmax(drop), drop.shape)
-    return GaussianWitness("ratio-decreasing-in-x",
-                           float(F.xknots[idx[i]]), float(F.xknots[idx[i + 1]]),
-                           float(F.xknots[idx[j]]),
-                           float(q[i, j]), float(q[i + 1, j]))
+    knots = F.xknots[(F.xknots > -1.9) & (F.xknots < 1.9)]
+    q = product_ratio(F, knots[:, None], knots[None, :])
+    return _steepest_step("ratio-decreasing-in-x", knots, q, rising=False)
 
 
 def _tail_increase_witness(c, order, depth, points):
     """For c in (0, 1): adjacent x-pair near the lower corner on which the
     tail functional rises, at fixed y, among ``points`` knots placed
     geometrically from ``depth`` to 1.2 above -2."""
-    offsets = np.geomspace(depth, 1.2, points)
-    knots = np.concatenate(([-2.0], -2.0 + offsets))
-    vals = _cdf_values(c, knots, knots, order=order)
-    m = semicircle_df().eval(knots)
-    q = m[1:, None] * m[None, 1:] / vals[1:, 1:]
-    t = q - m[1:, None] - m[None, 1:] + 1.0
-    rise = t[1:, :] - t[:-1, :]
-    i, j = np.unravel_index(np.argmax(rise), rise.shape)
-    return GaussianWitness("tail-functional-increasing-in-x",
-                           float(knots[1 + i]), float(knots[2 + i]),
-                           float(knots[1 + j]),
-                           float(t[i, j]), float(t[i + 1, j]))
+    knots = np.concatenate(([-2.0], -2.0 + np.geomspace(depth, 1.2, points)))
+    m = semicircle_df()
+    F = GridBDF(m, m, knots, knots, _cdf_values(c, knots, knots, order=order))
+    t = tail_functional(F, knots[1:, None], knots[None, 1:])
+    return _steepest_step("tail-functional-increasing-in-x", knots[1:], t,
+                          rising=True)
 
 
 def maxid_verdict(c, resolution=61):

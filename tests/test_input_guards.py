@@ -1,0 +1,108 @@
+"""Inputs that used to pass unchecked or crash: NaN Pickands functions, grid
+DFs above their marginals, an empty compound-Poisson ladder; and the
+classical extreme-value law as one EV copula over two marginals."""
+
+import numpy as np
+import pytest
+
+from bifreemax import (
+    CoupledBDF,
+    DiscreteMeasure,
+    GridBDF,
+    bdf_from_law,
+    compound_poisson_limit,
+    exponential_free_df,
+    is_bifree_maxid,
+    uniform_df,
+)
+from bifreemax.copulas import (
+    EVCopula,
+    FuncPickands,
+    check_pickands,
+    logistic_pickands,
+)
+from bifreemax.extremes import classical_mev, gev_df
+
+
+class TestCheckPickandsNaN:
+    def test_all_nan_fails(self):
+        A = FuncPickands(lambda t: np.full_like(t, np.nan))
+        with pytest.raises(AssertionError, match=r"A\(0\) = A\(1\) = 1 fails"):
+            check_pickands(A)
+
+    def test_nan_near_one_half_fails(self):
+        A = FuncPickands(lambda t: np.where(np.abs(t - 0.5) < 0.01, np.nan,
+                                            np.maximum(t, 1.0 - t)))
+        with pytest.raises(AssertionError, match="bounds"):
+            check_pickands(A)
+
+    @pytest.mark.parametrize("fn,message", [
+        (lambda t: np.where(t == 0.0, 0.9, 1.0), "A(0) = A(1) = 1 fails"),
+        (lambda t: 1.0 + 0.1 * t * (1.0 - t), "A <= 1 fail"),
+        (lambda t: np.maximum(t, 1.0 - t) + 0.1 * np.sin(np.pi * t) ** 8,
+         "convexity fails"),
+    ])
+    def test_finite_violations_keep_their_messages(self, fn, message):
+        with pytest.raises(AssertionError) as err:
+            check_pickands(FuncPickands(fn))
+        assert message in str(err.value)
+
+
+class TestValidateMarginalBound:
+    def test_surface_above_its_marginals_is_refused(self):
+        e = exponential_free_df()
+        F = GridBDF(e, e, [0.5, 1.0], [0.5, 1.0], [[0.9, 0.9], [0.9, 0.95]])
+        with pytest.raises(ValueError, match=r"exceeds min\(F1, F2\)"):
+            F.validate()
+
+    def test_earlier_checks_fire_first(self):
+        e = exponential_free_df()
+        F = GridBDF(e, e, [0.5, 1.0], [0.5, 1.0], [[0.9, 0.9], [0.8, 0.95]])
+        with pytest.raises(ValueError, match="decrease along the x axis"):
+            F.validate()
+
+    def test_grid_reaching_the_bound_passes(self):
+        # the EV copula equals the other marginal exactly where one is 1
+        knots = np.linspace(0.0, 1.0, 11)
+        C = CoupledBDF(EVCopula(logistic_pickands(2.0)), uniform_df(),
+                       uniform_df())
+        G = GridBDF(C.marginal1, C.marginal2, knots, knots,
+                    C.eval(knots[:, None], knots[None, :]))
+        assert G.validate() is G
+
+
+class TestCompoundPoissonLadder:
+    def test_empty_ladder_is_refused(self):
+        nu = DiscreteMeasure([[1.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="at least one n"):
+            compound_poisson_limit(0.5, nu, (0.0, 0.0), ns=[])
+
+
+class TestClassicalEVLaw:
+    def test_is_the_ev_copula_of_its_marginals(self):
+        g = gev_df(xi=1.0, m=1.0, sigma=1.0)
+        A = logistic_pickands(2.0)
+        G = classical_mev(g, g, A)
+        assert isinstance(G, CoupledBDF) and isinstance(G.copula, EVCopula)
+        assert G.copula.pickands is A
+        assert G.marginal1 is g and G.marginal2 is g
+
+    def test_equals_the_closed_form(self):
+        g = gev_df(xi=0.0)
+        A = logistic_pickands(2.0)
+        xs = np.linspace(-1.0, 4.0, 11)
+        l1 = np.log(g.eval(xs))[:, None]
+        l2 = np.log(g.eval(xs))[None, :]
+        ref = np.exp((l1 + l2) * A.eval(l1 / (l1 + l2)))
+        vals = classical_mev(g, g, A).eval(xs[:, None], xs[None, :])
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
+
+
+class TestOneRowLattice:
+    @pytest.mark.parametrize("points", [[[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]],
+                                        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    def test_step_law_on_one_line_is_maxid(self, points):
+        F = bdf_from_law(DiscreteMeasure(points, [0.5, 0.2, 0.3]))
+        v = is_bifree_maxid(F)
+        assert (v.status, v.reason, v.margin) == ("yes", "ratio checks pass",
+                                                  1e-9)

@@ -8,9 +8,12 @@ inconclusive.  Malformed specs or inputs (a ``frechet`` or ``weibull``
 alpha <= 0 among them) exit 4 with a diagnostic on stderr, as do runs that
 could cover nothing: an empty or non-positive ``--ns``, ``--grid`` below 3
 for ``check copula`` or below 2 for ``check copula-axioms``, ``check
-maxid`` with neither a spec nor ``--gaussian``, and ``experiment
-compound-poisson --max-log2`` below 1 (argparse usage errors keep the
-stdlib exit code 2).
+maxid`` with neither a spec nor ``--gaussian``, ``experiment
+compound-poisson --max-log2`` below 1, and ``gaussian cdf --resolution``
+below 2.  A ``gaussian`` correlation that is NaN or has |c| >= 1 (except
+for ``verdict``, which decides c = -1 and c = 1) and a non-finite or
+out-of-square ``identity --xs`` point exit 4 too (argparse usage errors
+keep the stdlib exit code 2).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 from .convolution import product_ratio, tail_functional
 from .distributions import (GridBDF, _as_float_array, _scalarize, _worst,
                             semicircle_df)
-from .quadrature import adaptive_panels, tensor_cells
+from .quadrature import adaptive_panels, panel_nodes, tensor_cells
 
 __all__ = [
     "GaussianCorr",
@@ -76,9 +76,7 @@ def kernel_denominator(c, s, t):
 
 def density(c, s, t):
     """Density p_c(s, t); zero off the square, undefined at |c| = 1."""
-    cv = _c_value(c)
-    if abs(cv) >= 1.0:
-        raise NoDensityError("the family is singular at |c| = 1")
+    cv = _density_c(c)
     sa, ta = np.broadcast_arrays(_as_float_array(s), _as_float_array(t))
     inside = (np.abs(sa) <= 2.0) & (np.abs(ta) <= 2.0)
     sc = np.clip(sa, -2.0, 2.0)
@@ -89,24 +87,64 @@ def density(c, s, t):
     return _scalarize(np.where(inside, out, 0.0), s, t)
 
 
+def _density_c(c):
+    """``c`` as a float with |c| < 1, else NoDensityError; NaN fails too."""
+    cv = _c_value(c)
+    if not abs(cv) < 1.0:
+        raise NoDensityError("the family has a density only for |c| < 1, "
+                             f"got c = {cv!r}")
+    return cv
+
+
+def _square_point(name, v):
+    """A finite coordinate in [-2, 2] as a float, else ValueError."""
+    v = float(v)
+    if not abs(v) <= 2.0:
+        raise ValueError(f"{name} must lie in [-2, 2], got {v!r}")
+    return v
+
+
 def _phi_edges_from_knots(knots):
     return np.arcsin(np.clip(np.asarray(knots, dtype=np.float64) / 2.0, -1, 1))
 
 
-def _cdf_values(c, xknots, yknots, order=16):
-    """CDF values at the knot lattice by phi-substituted panel quadrature."""
-    pa = _phi_edges_from_knots(xknots)
-    pb = _phi_edges_from_knots(yknots)
-    scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
+def _weight(phi):
+    """sqrt(4 - s^2) times the Jacobian 2 cos(phi) of s = 2 sin(phi)."""
+    return 4.0 * np.cos(phi) ** 2
+
+
+def _weighted_kernel(c, scale):
+    """The integrand scale * w(s) w(t) / D_c(s, t) of phi and psi, with
+    s = 2 sin(phi), t = 2 sin(psi) and w the semicircle weight times the
+    Jacobian; only 1/D_c is built at the full tensor size, in place."""
+    k0, k1, k2 = (1.0 - c * c) ** 2, c * (1.0 + c * c), c * c
 
     def integrand(phi, psi):
         s = 2.0 * np.sin(phi)
         t = 2.0 * np.sin(psi)
-        jac = 4.0 * np.cos(phi) * np.cos(psi)
-        return scale * np.sqrt(4.0 - s * s) * np.sqrt(4.0 - t * t) \
-            / kernel_denominator(c, s, t) * jac
+        d = np.multiply(k1 * s, t)
+        np.subtract(k0 + k2 * s * s, d, out=d)
+        d += k2 * t * t
+        np.divide(scale * _weight(phi), d, out=d)
+        d *= _weight(psi)
+        return d
 
-    cells = tensor_cells(integrand, pa, pb, order=order)
+    return integrand
+
+
+def _cdf_values(c, xknots, yknots, order=16):
+    """CDF values at the knot lattice by phi-substituted panel quadrature.
+
+    With s = 2 sin(phi) on [-pi/2, pi/2], sqrt(4 - s^2) = 2 cos(phi) >= 0,
+    so the semicircle weight times the Jacobian ds = 2 cos(phi) dphi is
+    exactly 4 cos^2(phi).  Written so, it is one smooth factor per axis,
+    computed on that axis alone, and no square root of a rounded 4 - s^2
+    is taken near the edges.
+    """
+    pa = _phi_edges_from_knots(xknots)
+    pb = _phi_edges_from_knots(yknots)
+    scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
+    cells = tensor_cells(_weighted_kernel(c, scale), pa, pb, order=order)
     vals = np.zeros((len(xknots), len(yknots)))
     vals[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
     return np.clip(vals, 0.0, 1.0)
@@ -117,11 +155,12 @@ def cdf_grid(c, resolution=101):
 
     Knots are placed at 2*sin(phi) for uniform phi, which concentrates them
     quadratically near the edges where the divisibility analysis looks; the
-    cells are integrated with order-16 panels.
+    cells are integrated with order-16 panels.  ``resolution`` knots per
+    axis, at least 2 so that the lattice spans the square.
     """
-    cv = _c_value(c)
-    if abs(cv) >= 1.0:
-        raise NoDensityError("no absolutely continuous DF at |c| = 1")
+    cv = _density_c(c)
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, resolution)
     knots = 2.0 * np.sin(phis)
     knots[0], knots[-1] = -2.0, 2.0
@@ -143,17 +182,14 @@ class IdentityReport:
 
 def identity_check(c, x):
     """Quadrature of the semicircle-weighted kernel slice against its
-    closed-form value 2 pi / (1 - c^2), adaptive to within 1e-9."""
-    cv = _c_value(c)
-    if abs(cv) >= 1.0:
-        raise NoDensityError("identity requires |c| < 1")
-    x = float(x)
-    if abs(x) > 2.0:
-        raise ValueError("x must lie in [-2, 2]")
+    closed-form value 2 pi / (1 - c^2), adaptive to within 1e-9.  Needs
+    |c| < 1 (else NoDensityError) and a finite x in [-2, 2] (else
+    ValueError)."""
+    cv = _density_c(c)
+    x = _square_point("x", x)
 
     def integrand(psi):
-        t = 2.0 * np.sin(psi)
-        return 4.0 * np.cos(psi) ** 2 / kernel_denominator(cv, x, t)
+        return _weight(psi) / kernel_denominator(cv, x, 2.0 * np.sin(psi))
 
     val = adaptive_panels(integrand, -math.pi / 2.0, math.pi / 2.0, tol=1e-9)
     return IdentityReport(cv, x, val, 2.0 * math.pi / (1.0 - cv * cv))
@@ -162,24 +198,29 @@ def identity_check(c, x):
 def comparison_integral(c, x, y):
     """Integral over [-2, x] x [-2, y] of
     sqrt(4-s^2) sqrt(4-t^2) [1/D_c(s, t) - 1/D_c(x, t)], by order-24 panels
-    on 23 equal phi-intervals per axis.
+    on 23 equal phi-intervals per axis.  Needs |c| < 1 (else
+    NoDensityError) and finite x, y in [-2, 2] (else ValueError).
 
     Its sign decides the monotonicity of the product ratio in x: negative
     for c in (-1, 0) at every interior point, positive for c in (0, 1).
+    The second term does not depend on s, so it is the product of two
+    one-dimensional sums on the same nodes; only the first goes through
+    the tensor rule.
     """
-    cv = _c_value(c)
-    ps = np.linspace(-math.pi / 2.0, math.asin(np.clip(x / 2.0, -1, 1)), 24)
-    pt = np.linspace(-math.pi / 2.0, math.asin(np.clip(y / 2.0, -1, 1)), 24)
-
-    def integrand(phi, psi):
-        s = 2.0 * np.sin(phi)
-        t = 2.0 * np.sin(psi)
-        jac = 4.0 * np.cos(phi) * np.cos(psi)
-        w = np.sqrt(4.0 - s * s) * np.sqrt(4.0 - t * t)
-        return w * (1.0 / kernel_denominator(cv, s, t)
-                    - 1.0 / kernel_denominator(cv, x, t)) * jac
-
-    return float(tensor_cells(integrand, ps, pt, order=24).sum())
+    cv = _density_c(c)
+    x = _square_point("x", x)
+    y = _square_point("y", y)
+    if cv == 0.0:
+        return 0.0  # D_0 = 1: the two terms are equal, not just to rounding
+    ps = np.linspace(-math.pi / 2.0, math.asin(x / 2.0), 24)
+    pt = np.linspace(-math.pi / 2.0, math.asin(y / 2.0), 24)
+    first = tensor_cells(_weighted_kernel(cv, 1.0), ps, pt, order=24).sum()
+    phi, wphi = panel_nodes(ps, 24)
+    psi, wpsi = panel_nodes(pt, 24)
+    weight_s = np.sum(wphi * _weight(phi))
+    slice_t = np.sum(wpsi * _weight(psi)
+                     / kernel_denominator(cv, x, 2.0 * np.sin(psi)))
+    return float(first - weight_s * slice_t)
 
 
 # ---------------------------------------------------------------------------

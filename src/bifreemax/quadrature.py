@@ -8,6 +8,8 @@ variable: callers pass smooth integrands on phi-intervals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -18,6 +20,11 @@ __all__ = [
 ]
 
 _CACHE = {}
+
+# integrand values tensor_cells holds at once (8 MB of float64); large enough
+# that comparison_integral's 552^2 lattice and the default ratio probe of
+# maxid_verdict (960^2) each run in one block, as splitting them costs time
+_BLOCK = 1 << 20
 
 
 def _rule(order):
@@ -47,11 +54,15 @@ def adaptive_panels(f, a, b, tol=1e-8):
     halves; panels are split while the difference exceeds the panel's share
     tol*(panel width)/(b - a).  Splitting stops at depth 28, a panel
     2^-28 of the interval wide, whether or not the panel has converged.
+    A non-finite panel estimate raises ValueError instead of being split.
     """
 
     def estimate(lo, hi):
         x, w = panel_nodes([lo, hi], 32)
-        return float(np.sum(w * f(x)))
+        value = float(np.sum(w * f(x)))
+        if not math.isfinite(value):
+            raise ValueError(f"integrand is not finite on [{lo!r}, {hi!r}]")
+        return value
 
     total = 0.0
     stack = [(float(a), float(b), estimate(a, b), 0)]
@@ -73,9 +84,21 @@ def tensor_cells(f, xedges, yedges, order=16):
     """Cell integrals of f(x, y) over the panel lattice.
 
     Returns an array of shape (len(xedges)-1, len(yedges)-1) whose cumulative
-    sums give the integral over growing rectangles.
+    sums give the integral over growing rectangles.  ``f`` is called on one
+    block of consecutive x-panels at a time, with x-nodes of shape
+    (panels, order, 1, 1) and y-nodes of shape (1, 1, len(yedges)-1, order);
+    a block holds at most ``_BLOCK`` (2^20) integrand values, or one x-panel
+    when a single panel is larger.  Peak memory is therefore that block, the
+    temporaries ``f`` makes of its size, and the output, not
+    O(len(xedges) * len(yedges) * order^2).
     """
     nx, wx = panel_nodes(xedges, order)
     ny, wy = panel_nodes(yedges, order)
-    vals = f(nx[:, :, None, None], ny[None, None, :, :])
-    return np.einsum("ab,cd,abcd->ac", wx, wy, vals)
+    step = max(1, _BLOCK // max(order * ny.size, 1))
+    cells = np.empty((nx.shape[0], ny.shape[0]))
+    for lo in range(0, nx.shape[0], step):
+        block = slice(lo, lo + step)
+        vals = f(nx[block, :, None, None], ny[None, None, :, :])
+        cells[block] = np.einsum("ab,cd,abcd->ac", wx[block], wy, vals,
+                                 optimize=True)
+    return cells

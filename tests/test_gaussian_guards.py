@@ -1,0 +1,98 @@
+"""Inputs the Gaussian family refuses: non-finite or out-of-range
+correlations and points, and CDF lattices too small to span the square."""
+
+import numpy as np
+import pytest
+
+from bifreemax.cli import main
+from bifreemax.gaussian import (NoDensityError, cdf_grid, comparison_integral,
+                                density, identity_check)
+from bifreemax.quadrature import adaptive_panels
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestIdentityNonFinite:
+    @pytest.mark.parametrize("x", [NAN, INF, -INF])
+    def test_x(self, x):
+        with pytest.raises(ValueError, match="x must lie in"):
+            identity_check(0.3, x)
+
+    @pytest.mark.parametrize("c", [NAN, INF])
+    def test_c(self, c):
+        with pytest.raises(NoDensityError):
+            identity_check(c, 0.5)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_adaptive_panels_refuses_to_split(self, value):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return np.full_like(x, value)
+
+        with pytest.raises(ValueError, match="not finite"):
+            adaptive_panels(f, 0.0, 1.0)
+        assert len(calls) == 1
+
+
+class TestComparisonGuards:
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.0, NAN])
+    def test_correlation(self, c):
+        with pytest.raises(NoDensityError):
+            comparison_integral(c, 0.3, -0.4)
+
+    @pytest.mark.parametrize("x,y", [(3.0, 0.0), (0.0, -2.5), (NAN, 0.0),
+                                     (0.0, INF)])
+    def test_point(self, x, y):
+        with pytest.raises(ValueError, match="must lie in"):
+            comparison_integral(0.5, x, y)
+
+    def test_square_edges_accepted(self):
+        assert comparison_integral(0.5, -2.0, 0.3) == 0.0
+        assert comparison_integral(-0.5, 2.0, 2.0) < 0.0
+
+    def test_zero_correlation_is_exactly_zero(self):
+        assert comparison_integral(0.0, 0.3, -0.4) == 0.0
+
+
+class TestCdfGridGuards:
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            cdf_grid(0.3, resolution=resolution)
+
+    def test_two_knots_span_the_square(self):
+        F = cdf_grid(0.3, resolution=2)
+        assert list(F.xknots) == [-2.0, 2.0]
+        assert F.eval(2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_correlation(self):
+        with pytest.raises(NoDensityError):
+            cdf_grid(NAN, resolution=11)
+        with pytest.raises(NoDensityError):
+            density(NAN, 0.0, 0.0)
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "identity", "nan"],
+        ["gaussian", "identity", "0.3", "--xs", "nan"],
+        ["gaussian", "identity", "0.3", "--xs", "inf"],
+        ["gaussian", "cdf", "0.3", "--resolution", "1"],
+        ["gaussian", "cdf", "0.3", "--resolution", "0"],
+        ["gaussian", "cdf", "nan", "--resolution", "11"],
+    ])
+    def test_exit_4(self, argv, tmp_path, capsys):
+        out = tmp_path / "G.json"
+        assert main(argv + ["-o", str(out)]) == 4
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cdf_at_two_knots(self, tmp_path):
+        out = tmp_path / "G.json"
+        assert main(["gaussian", "cdf", "0.3", "--resolution", "2",
+                     "-o", str(out)]) == 0
+        assert out.exists()
+

@@ -9,11 +9,12 @@ alpha <= 0 among them) exit 4 with a diagnostic on stderr, as do runs that
 could cover nothing: an empty or non-positive ``--ns``, ``--grid`` below 3
 for ``check copula`` or below 2 for ``check copula-axioms``, ``check
 maxid`` with neither a spec nor ``--gaussian``, ``experiment
-compound-poisson --max-log2`` below 1, and ``gaussian cdf --resolution``
-below 2.  A ``gaussian`` correlation that is NaN or has |c| >= 1 (except
-for ``verdict``, which decides c = -1 and c = 1) and a non-finite or
-out-of-square ``identity --xs`` point exit 4 too (argparse usage errors
-keep the stdlib exit code 2).
+compound-poisson --max-log2`` below 1, and ``gaussian density`` or
+``gaussian cdf`` with ``--resolution`` below 2.  A ``gaussian``
+correlation that is NaN or has |c| >= 1 (except for ``verdict``, which
+decides c = -1 and c = 1) and a non-finite or out-of-square ``identity
+--xs`` point exit 4 too (argparse usage errors keep the stdlib exit code
+2).
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def _cmd_build(args):
 def _cmd_gaussian(args):
     c = args.c
     if args.what == "density":
+        if args.resolution < 2:
+            raise ValueError(
+                f"resolution must be at least 2, got {args.resolution}")
         knots = np.linspace(-2.0, 2.0, args.resolution)
         vals = ga.density(c, knots[:, None], knots[None, :])
         write_surface_csv(_out_path(args, args.output or "density.csv"),

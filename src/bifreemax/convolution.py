@@ -35,12 +35,14 @@ from .distributions import (
     BivariateDF,
     CoupledBDF,
     DiscreteMeasure,
+    FuncUDF,
     GridBDF,
     GridUDF,
     SupportError,
     UnivariateDF,
     _cell_volumes,
     _probe_grid,
+    _ratio,
     _scalarize,
     _worst,
     bdf_from_law,
@@ -72,58 +74,27 @@ __all__ = [
 # univariate operations
 # ---------------------------------------------------------------------------
 
-class _FreeMaxConvUDF(UnivariateDF):
-    kind = "free-maxconv"
-
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-        sats = (f.saturation, g.saturation)
-        super().__init__(max(f.support_lower, g.support_lower), max(sats))
-
-    def _eval(self, x):
-        return np.maximum(self.f.eval(x) + self.g.eval(x) - 1.0, 0.0)
-
-
-class _FreePowerUDF(UnivariateDF):
-    """Marginal of a convolution power: (t*F - (t-1))_+ for t >= 1, and the
-    canonical representative t*F + (1-t) on [L, inf) for t < 1.  The lower
-    bound is finite in both cases, and ``eval`` cuts below it."""
-
-    kind = "free-power"
-
-    def __init__(self, base, t):
-        self.base = base
-        self.t = float(t)
-        if self.t > 1.0:
-            lower = base.quantile_exceed(1.0 - 1.0 / self.t)
-        else:
-            lower = base.quantile_exceed(0.0)
-            if not np.isfinite(lower):
-                raise ValueError(
-                    "fractional powers need support bounded from below")
-        super().__init__(lower, base.saturation)
-
-    def _eval(self, x):
-        return np.maximum(self.t * self.base.eval(x) + (1.0 - self.t), 0.0)
-
-
 def free_maxconv(F: UnivariateDF, G: UnivariateDF) -> UnivariateDF:
     """Free max-convolution (F + G - 1)_+.
 
     Grid inputs produce an exact step DF on the merged knot set; other
     inputs produce a lazily evaluated closed form.
     """
+    # FuncUDF's clip to [0, 1] is the (.)_+
+    H = FuncUDF(lambda x: F.eval(x) + G.eval(x) - 1.0,
+                max(F.support_lower, G.support_lower),
+                max(F.saturation, G.saturation), kind="free-maxconv")
     if isinstance(F, GridUDF) and isinstance(G, GridUDF):
         knots = np.union1d(F.knots, G.knots)
-        vals = np.maximum(F.eval(knots) + G.eval(knots) - 1.0, 0.0)
-        sat = max(F.saturation, G.saturation)
-        return GridUDF(knots, vals,
+        sat = H.saturation
+        return GridUDF(knots, H.eval(knots),
                        saturation=sat if np.isfinite(sat) else None)
-    return _FreeMaxConvUDF(F, G)
+    return H
 
 
 def free_power(F: UnivariateDF, t) -> UnivariateDF:
-    """t-fold free max-convolution power of a univariate DF."""
+    """t-fold free max-convolution power (t*F - (t-1))_+, 0 below a finite
+    lower bound L; for t < 1 the canonical representative on [L, inf)."""
     t = float(t)
     if t < 0:
         raise ValueError("power must be nonnegative")
@@ -136,7 +107,15 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
         sat = F.saturation
         return GridUDF(F.knots, np.clip(vals, 0.0, 1.0),
                        saturation=sat if np.isfinite(sat) else None)
-    return _FreePowerUDF(F, t)
+    if t > 1.0:
+        lower = F.quantile_exceed(1.0 - 1.0 / t)
+    else:
+        lower = F.quantile_exceed(0.0)
+        if not np.isfinite(lower):
+            raise ValueError("fractional powers need support bounded from below")
+    # FuncUDF's clip to [0, 1] is the (.)_+
+    return FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
+                   kind="free-power")
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +135,7 @@ class RatioBDF(BivariateDF):
             * np.asarray(self.marginal2.eval(x2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = np.asarray(self._q(x1, x2))
-            live = (h > 0) & np.isfinite(q)
-            return np.where(live, h / np.where(live, q, 1.0), 0.0)
+            return _ratio(h, q, (h > 0) & np.isfinite(q), 0.0)
 
 
 class ConvolvedBDF(RatioBDF):
@@ -210,8 +188,6 @@ class PowerBDF(RatioBDF):
 
     def __init__(self, base, t):
         t = float(t)
-        if t < 0:
-            raise ValueError("power must be nonnegative")
         self.base = base
         self.t = t
         super().__init__(free_power(base.marginal1, t),
@@ -341,8 +317,8 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
                          (float(xs[i]), float(ys[j])),
                          (float(xs[i]), float(ys[j])), float(vals[i, j])))
 
-    xs, ys, m1, m2 = xs[p1], ys[p2], m1[p1], m2[p2]
-    q = m1[:, None] * m2[None, :] / vals[np.ix_(p1, p2)]
+    xs, ys = xs[p1], ys[p2]
+    q, m1, m2 = _ratio_parts(F, xs[:, None], ys[None, :])
 
     # tags: (check name, index step from the lower to the upper corner); on
     # a one-row or one-column lattice the blocks across it are empty
@@ -350,9 +326,9 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
     dqy = np.diff(q, axis=1)
     worst, tag, at = _worst([
         (("ratio-increasing-x", (1, 0)), -dqx),
-        (("ratio-increment-bound-x", (1, 0)), dqx - np.diff(m1)[:, None]),
+        (("ratio-increment-bound-x", (1, 0)), dqx - np.diff(m1, axis=0)),
         (("ratio-increasing-y", (0, 1)), -dqy),
-        (("ratio-increment-bound-y", (0, 1)), dqy - np.diff(m2)[None, :]),
+        (("ratio-increment-bound-y", (0, 1)), dqy - np.diff(m2, axis=1)),
         (("ratio-volume", (1, 1)), _cell_volumes(q)),
     ])
     # one positive probe point leaves no pair to compare and no margin; only
@@ -534,18 +510,6 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
     return MaxIdVerdict("yes", f"roots quasi-monotone for n in {ns}")
 
 
-class _ExpTailMarginalUDF(UnivariateDF):
-    kind = "exp-tail"
-
-    def __init__(self, base, t, lower):
-        self.base, self.t = base, float(t)
-        super().__init__(lower, base.saturation)
-
-    def _eval(self, x):
-        # ExpTailBDF gives a finite lower bound, below which eval cuts to 0
-        return np.exp(-self.t * (1.0 - self.base.eval(x)))
-
-
 class ExpTailBDF(RatioBDF):
     """exp(-t * T_F) on the support rectangle of a max-i.d. base DF: its
     marginals are exp(-t*(1 - F_j)) and its ratio exp(t*(Q_F - 1))."""
@@ -557,12 +521,16 @@ class ExpTailBDF(RatioBDF):
             raise ValueError("t must be positive")
         self.base = base
         self.t = float(t)
-        lo1 = base.marginal1.quantile_exceed(0.0)
-        lo2 = base.marginal2.quantile_exceed(0.0)
-        if not (np.isfinite(lo1) and np.isfinite(lo2)):
-            raise ValueError("base DF must have support bounded below")
-        super().__init__(_ExpTailMarginalUDF(base.marginal1, t, lo1),
-                         _ExpTailMarginalUDF(base.marginal2, t, lo2))
+
+        def marginal(m):
+            lower = m.quantile_exceed(0.0)
+            if not np.isfinite(lower):
+                raise ValueError("base DF must have support bounded below")
+            # positive at F_j = 0, so the finite lower bound cuts it to 0
+            return FuncUDF(lambda x: np.exp(-self.t * (1.0 - m.eval(x))),
+                           lower, m.saturation, kind="exp-tail")
+
+        super().__init__(marginal(base.marginal1), marginal(base.marginal2))
 
     def _q(self, x1, x2):
         return np.exp(self.t * (self.base._q(x1, x2) - 1.0))

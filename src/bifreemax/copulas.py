@@ -26,6 +26,7 @@ from .distributions import (
     SupportError,
     _as_float_array,
     _cell_volumes,
+    _ratio,
     _scalarize,
     _worst,
 )
@@ -100,10 +101,8 @@ class Copula:
         ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
         c = np.asarray(self.eval(ua, va))
         prod = ua * va
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(prod > 0.0,
-                           np.where(c > 0, prod / np.where(c > 0, c, 1.0), np.inf),
-                           np.maximum(ua, va))
+        out = np.where(prod > 0.0, _ratio(prod, c, c > 0, np.inf),
+                       np.maximum(ua, va))
         return _scalarize(out, u, v)
 
 
@@ -120,8 +119,9 @@ class _FFormCopula(Copula):
     def _eval(self, u, v):
         f = self._f(u, v)
         prod = u * v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(prod > 0.0, prod / np.where(f > 0, f, 1.0), 0.0)
+        # f can round to 0 next to the origin, where uv / f would be inf;
+        # there, and where f is undefined, the value is uv, in [0, min(u, v)]
+        return np.where(prod > 0.0, _ratio(prod, f, f > 0, prod), 0.0)
 
 
 class IndependenceCopula(_FFormCopula):
@@ -362,9 +362,7 @@ class BiFreeCopula(_FFormCopula):
     def _f(self, u, v):
         den = 2.0 - u - v
         # the argument lies in [0, 1] exactly; clip cancellation noise in den
-        t = np.where(den > 0.0,
-                     np.clip((1.0 - u) / np.where(den > 0.0, den, 1.0), 0.0, 1.0),
-                     0.5)
+        t = np.clip(_ratio(1.0 - u, den, den > 0.0, 0.5), 0.0, 1.0)
         # at (1,1) the products vanish and f = -1 + u + v = 1 by continuity
         return -1.0 + u + v + den * np.asarray(self.pickands.eval(t))
 

@@ -73,6 +73,13 @@ def _require_finite(message, *arrays):
         raise ValueError(message)
 
 
+def _ratio(num, den, live, fill):
+    """num / den where ``live``, ``fill`` elsewhere; the entries masked out
+    raise no floating-point warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(live, num / np.where(live, den, 1.0), fill)
+
+
 def _cell_volumes(v):
     """Volumes v[i+1, j+1] - v[i, j+1] - v[i+1, j] + v[i, j] of the cells
     between adjacent lattice points."""
@@ -211,7 +218,9 @@ class GridUDF(UnivariateDF):
 
 
 class FuncUDF(UnivariateDF):
-    """DF given by a closed-form vectorized callable, clipped to [0, 1]."""
+    """DF given by a closed-form vectorized callable, clipped to [0, 1].  The
+    derived marginals (free max-convolutions, free powers, products) use the
+    clip as the ``(.)_+`` of ``(F + G - 1)_+`` and ``(t*F - (t-1))_+``."""
 
     kind = "func"
 
@@ -286,23 +295,11 @@ def semicircle_df():
     return FuncUDF(fn, support_lower=-2.0, saturation=2.0, kind="semicircle")
 
 
-class _ProductUDF(UnivariateDF):
-    """Pointwise product of two DFs (classical multiplication semigroup)."""
-
-    kind = "product"
-
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-        super().__init__(max(f.support_lower, g.support_lower),
-                         max(f.saturation, g.saturation))
-
-    def _eval(self, x):
-        return self.f.eval(x) * self.g.eval(x)
-
-
 def product_df(f, g):
     """Pointwise product F*G of two univariate DFs."""
-    return _ProductUDF(f, g)
+    return FuncUDF(lambda x: f.eval(x) * g.eval(x),
+                   max(f.support_lower, g.support_lower),
+                   max(f.saturation, g.saturation), kind="product")
 
 
 def ones_df():
@@ -354,9 +351,7 @@ class BivariateDF:
         f = np.asarray(self._eval(x1, x2))
         num = np.asarray(self.marginal1.eval(x1)) \
             * np.asarray(self.marginal2.eval(x2))
-        pos = f > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(pos, num / np.where(pos, f, 1.0), np.inf)
+        return _ratio(num, f, f > 0, np.inf)
 
     def q_eval(self, x1, x2):
         """The product-to-joint ratio F1*F2/F; raises SupportError where it

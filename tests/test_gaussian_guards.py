@@ -96,3 +96,19 @@ class TestCli:
                      "-o", str(out)]) == 0
         assert out.exists()
 
+
+
+class TestDensityResolution:
+    @pytest.mark.parametrize("resolution", ["1", "0"])
+    def test_exit_4(self, resolution, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["gaussian", "density", "0.3", "--resolution", resolution,
+                     "-o", str(out)]) == 4
+        assert "resolution must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_knots(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["gaussian", "density", "0.3", "--resolution", "2",
+                     "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5

@@ -20,6 +20,7 @@ decides c = -1 and c = 1) and a non-finite or out-of-square ``identity
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,8 @@ from .serialize import (
     bdf_to_obj,
     dump_json,
     fmt,
+    report_csv_lines,
+    surface_csv_lines,
     udf_to_obj,
     write_report_csv,
     write_surface_csv,
@@ -131,7 +134,7 @@ def _cmd_convolve(args):
             dump_json(udf_to_obj(h), _out_path(args, args.output))
         return 0
     F = parse_bdf(args.a)
-    G = parse_bdf(args.b)
+    G = F if args.b == args.a else parse_bdf(args.b)
     H = cv.bifree_maxconv(F, G)
     _emit_bdf(args, H)
     if args.csv:
@@ -161,10 +164,7 @@ def _cmd_transform(args):
     if out:
         write_surface_csv(out, xs, ys, vals)
     else:
-        sys.stdout.write("x,y,value\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                sys.stdout.write(f"{fmt(x)},{fmt(y)},{fmt(vals[i, j])}\n")
+        sys.stdout.writelines(surface_csv_lines(xs, ys, vals))
     return 0
 
 
@@ -326,13 +326,12 @@ def _cmd_experiment(args):
         rows = [(n, "sup_distance", d) for n, d in report.rows]
         summary = {"experiment": "max-stable", "pickands": args.spec,
                    "max_distance": report.max_distance}
+    header = ("n", "diagnostic", "value")
     out = _out_path(args, args.output)
     if out:
-        write_report_csv(out, ("n", "diagnostic", "value"), rows)
+        write_report_csv(out, header, rows)
     else:
-        sys.stdout.write("n,diagnostic,value\n")
-        for n, d, v in rows:
-            sys.stdout.write(f"{n},{d},{fmt(v)}\n")
+        sys.stdout.writelines(report_csv_lines(header, rows))
     _print_verdict(args, summary)
     if args.summary:
         dump_json(summary, _out_path(args, args.summary))
@@ -343,7 +342,10 @@ def _cmd_experiment(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process, since parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="bifreemax",
         description="Bi-free max-convolution calculus: convolve, transform, "

@@ -12,10 +12,18 @@ Closed-form DFs are sampled onto grids before writing.  Surfaces emit CSV
 with header ``x,y,value`` in row-major order; all floats use round-trip
 (shortest exact) formatting, so identical inputs produce byte-identical
 artifacts.
+
+``dump_json`` writes exactly the bytes of ``json.dump(obj, fh, indent=2)``
+followed by a newline.  It lays out dicts and nested lists itself and hands
+each flat list of scalars to the C encoder of ``json.dumps``, which
+``json.dump`` does not use once ``indent`` is set.  The CSV writers format
+each axis value once, not once per cell, and the CLI prints its CSV to
+stdout through the same line formatters.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -34,6 +42,8 @@ __all__ = [
     "from_json_obj",
     "write_surface_csv",
     "write_report_csv",
+    "surface_csv_lines",
+    "report_csv_lines",
     "fmt",
 ]
 
@@ -41,6 +51,11 @@ __all__ = [
 def fmt(v):
     """Round-trip decimal representation of a float."""
     return repr(float(v))
+
+
+def _floats(a):
+    """An array as nested lists of Python floats."""
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _opt(v):
@@ -63,8 +78,8 @@ def udf_to_obj(F, knots=None):
     return {
         "kind": "grid",
         "L": _opt(g.support_lower),
-        "knots": [float(k) for k in g.knots],
-        "values": [float(v) for v in g.values],
+        "knots": _floats(g.knots),
+        "values": _floats(g.values),
         "saturation": _opt(g.saturation),
     }
 
@@ -89,8 +104,8 @@ def bdf_to_obj(F, xknots=None, yknots=None):
     return {
         "kind": "grid2d",
         "L": [m1["L"], m2["L"]],
-        "knots": [[float(k) for k in F.xknots], [float(k) for k in F.yknots]],
-        "values": [[float(v) for v in row] for row in F.values],
+        "knots": [_floats(F.xknots), _floats(F.yknots)],
+        "values": _floats(F.values),
         "marginals": [m1, m2],
     }
 
@@ -139,25 +154,95 @@ def load_json(path):
         return from_json_obj(json.load(fh))
 
 
+def _key_text(key):
+    """A dict key as the stdlib encoder turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, int)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(obj, write, pad):
+    """Write ``obj`` as ``json.dump(indent=2)`` does, at indent ``pad``."""
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            write(sep + json.dumps(_key_text(key)) + ": ")
+            _write_json(value, write, inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = pad + "  "
+        if not isinstance(obj[0], (list, tuple, dict)):
+            text = json.dumps(obj)
+            # with no string and no nested container other than [] or {}
+            # (a non-empty dict shows a quote), the one-line text splits
+            # into the indented layout at every ", "
+            if text.find("[", 1) < 0 and '"' not in text:
+                write("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner)
+                      + "\n" + pad + "]")
+                return
+        sep = "[\n" + inner
+        for value in obj:
+            write(sep)
+            _write_json(value, write, inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "]")
+    else:
+        write(json.dumps(obj))
+
+
 def dump_json(obj, path):
+    """Write ``obj`` as ``json.dump(obj, fh, indent=2)`` plus a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        _write_json(obj, fh.write, "")
         fh.write("\n")
 
 
+def surface_csv_lines(xs, ys, values):
+    """The lines of a surface CSV: the header, then one string per x.
+
+    Raises ``ValueError`` unless ``values`` has shape ``(len(xs), len(ys))``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(xs), len(ys)):
+        raise ValueError(f"surface values have shape {values.shape}, the "
+                         f"axes need ({len(xs)}, {len(ys)})")
+    ycells = [fmt(y) + "," for y in ys]
+    rows = ("".join([f"{x},{yc}{v!r}\n"
+                     for yc, v in zip(ycells, row.tolist())])
+            for x, row in zip(map(fmt, xs), values))
+    return itertools.chain(["x,y,value\n"], rows)
+
+
 def write_surface_csv(path, xs, ys, values):
-    """Surface CSV: header x,y,value; row-major over the probe lattice."""
-    values = np.asarray(values)
+    """Surface CSV: header x,y,value; row-major over the probe lattice.
+
+    A ``values`` shape other than ``(len(xs), len(ys))`` raises
+    ``ValueError`` before the file is opened.
+    """
+    lines = surface_csv_lines(xs, ys, values)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                fh.write(f"{fmt(x)},{fmt(y)},{fmt(values[i, j])}\n")
+        fh.writelines(lines)
+
+
+def report_csv_lines(header, rows):
+    """The lines of a report CSV: the header, then one string per row."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(fmt(v) if isinstance(v, float) else str(v)
+                       for v in row) + "\n"
 
 
 def write_report_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(report_csv_lines(header, rows))

@@ -76,6 +76,9 @@ def _out_path(args, path):
 def _print_verdict(args, payload):
     if args.format == "csv":
         for k, v in payload.items():
+            if isinstance(v, (dict, list)):
+                # nested values as JSON text in one RFC 4180 quoted field
+                v = '"' + json.dumps(v).replace('"', '""') + '"'
             print(f"{k},{v}")
     else:
         print(json.dumps(payload, indent=2))

@@ -25,6 +25,7 @@ from .distributions import (
     DiscreteMeasure,
     SupportError,
     _as_float_array,
+    _at_shape,
     _cell_volumes,
     _ratio,
     _scalarize,
@@ -69,7 +70,15 @@ __all__ = [
 
 
 class Copula:
-    """Bivariate copula evaluated pointwise on [0, 1]^2."""
+    """Bivariate copula evaluated pointwise on [0, 1]^2.
+
+    ``_eval(u, v)`` and a ratio form's ``_f(u, v)`` receive float arrays
+    that broadcast together but are not broadcast, so an outer-product query
+    stays on its axes; they may return any array that broadcasts to the full
+    shape, and ``eval`` and ``f_eval`` broadcast the result.  A subclass
+    that indexes with boolean masks broadcasts its own inputs, as
+    ``EVCopula`` does.
+    """
 
     family = "abstract"
     smooth = False
@@ -81,12 +90,13 @@ class Copula:
         raise NotImplementedError
 
     def eval(self, u, v):
-        ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
+        ua, va = _as_float_array(u), _as_float_array(v)
+        shape = np.broadcast_shapes(ua.shape, va.shape)
         if np.any(ua < -1e-12) or np.any(ua > 1 + 1e-12) or \
                 np.any(va < -1e-12) or np.any(va > 1 + 1e-12):
             raise ValueError("copula arguments must lie in [0, 1]")
         out = self._eval(np.clip(ua, 0.0, 1.0), np.clip(va, 0.0, 1.0))
-        return _scalarize(out, u, v)
+        return _scalarize(_at_shape(out, shape), u, v)
 
     def __call__(self, u, v):
         return self.eval(u, v)
@@ -98,7 +108,7 @@ class Copula:
         fallback divides, is +inf where C = 0 < uv, and extends by the limit
         max(u, v) on the axes.
         """
-        ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
+        ua, va = _as_float_array(u), _as_float_array(v)
         c = np.asarray(self.eval(ua, va))
         prod = ua * va
         out = np.where(prod > 0.0, _ratio(prod, c, c > 0, np.inf),
@@ -113,15 +123,18 @@ class _FFormCopula(Copula):
         raise NotImplementedError
 
     def f_eval(self, u, v):
-        ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
-        return _scalarize(self._f(ua, va), u, v)
+        ua, va = _as_float_array(u), _as_float_array(v)
+        shape = np.broadcast_shapes(ua.shape, va.shape)
+        return _scalarize(_at_shape(self._f(ua, va), shape), u, v)
 
     def _eval(self, u, v):
         f = self._f(u, v)
         prod = u * v
         # f can round to 0 next to the origin, where uv / f would be inf;
-        # there, and where f is undefined, the value is uv, in [0, min(u, v)]
-        return np.where(prod > 0.0, _ratio(prod, f, f > 0, prod), 0.0)
+        # there, and where f is undefined, the value is uv, in [0, min(u, v)];
+        # a NaN argument gives NaN, and uv = 0 gives +0.0
+        return np.where(prod > 0.0, _ratio(prod, f, f > 0, prod),
+                        np.where(np.isnan(prod), np.nan, 0.0))
 
 
 class IndependenceCopula(_FFormCopula):
@@ -140,7 +153,7 @@ class ComonotoneCopula(Copula):
         return np.minimum(u, v)
 
     def f_eval(self, u, v):
-        ua, va = np.broadcast_arrays(_as_float_array(u), _as_float_array(v))
+        ua, va = _as_float_array(u), _as_float_array(v)
         return _scalarize(np.maximum(ua, va), u, v)
 
 
@@ -173,7 +186,9 @@ class FGMCopula(_FFormCopula):
         self.theta = float(theta)
 
     def _f(self, u, v):
-        return 1.0 / (1.0 + self.theta * (1.0 - u) * (1.0 - v))
+        # the pole of theta = -1 at the origin is masked by the caller
+        with np.errstate(divide="ignore"):
+            return 1.0 / (1.0 + self.theta * (1.0 - u) * (1.0 - v))
 
 
 class ClaytonCopula(_FFormCopula):
@@ -331,7 +346,8 @@ class EVCopula(Copula):
         self.smooth = pickands.smooth
 
     def _eval(self, u, v):
-        out = np.empty(np.broadcast(u, v).shape)
+        u, v = np.broadcast_arrays(u, v)
+        out = np.empty(u.shape)
         zero = (u <= 0.0) | (v <= 0.0)
         one_u = u >= 1.0
         one_v = v >= 1.0
@@ -552,43 +568,43 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
 
     us = np.linspace(0.0, 1.0, grid_n)[1:]
-    U, V = np.meshgrid(us, us, indexing="ij")
+    U, V = us[:, None], us[None, :]
     cvals = np.asarray(C.eval(U, V))
     if np.any(cvals <= 0.0):
         raise SupportError("copula must be strictly positive on (0, 1]^2")
     f = np.asarray(C.f_eval(U, V))
 
-    # tags: (check name, probe coordinates of the block's entries)
+    # tags: (check name, the u and v probe axes of the block's entries)
     boundary = [
-        (("boundary", (U[:, -1:], V[:, -1:])), np.abs(f[:, -1:] - 1.0)),
-        (("boundary", (U[-1:, :], V[-1:, :])), np.abs(f[-1:, :] - 1.0)),
+        (("boundary", (us, us[-1:])), np.abs(f[:, -1:] - 1.0)),
+        (("boundary", (us[-1:], us)), np.abs(f[-1:, :] - 1.0)),
     ]
     quantities = []
     if mode == "grid":
         gu = f - U
         gv = f - V
         quantities += [
-            (("monotone-difference-u", (U[1:, :], V[1:, :])), np.diff(gu, axis=0)),
-            (("monotone-difference-v", (U[:, 1:], V[:, 1:])), np.diff(gv, axis=1)),
-            (("volume", (U[:-1, :-1], V[:-1, :-1])), _cell_volumes(f)),
+            (("monotone-difference-u", (us[1:], us)), np.diff(gu, axis=0)),
+            (("monotone-difference-v", (us, us[1:])), np.diff(gv, axis=1)),
+            (("volume", (us[:-1], us[:-1])), _cell_volumes(f)),
         ]
         threshold = tol
     else:
         h = 1e-5
         ps = np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h)
         ps = np.unique(ps)
-        P, Q = np.meshgrid(ps, ps, indexing="ij")
+        P, Q = ps[:, None], ps[None, :]
         fe = C.f_eval
         fu = (fe(P + h, Q) - fe(P - h, Q)) / (2 * h)
         fv = (fe(P, Q + h) - fe(P, Q - h)) / (2 * h)
         fuv = (fe(P + h, Q + h) - fe(P + h, Q - h)
                - fe(P - h, Q + h) + fe(P - h, Q - h)) / (4 * h * h)
         quantities += [
-            (("df/du lower", (P, Q)), -fu),
-            (("df/du upper", (P, Q)), fu - 1.0),
-            (("df/dv lower", (P, Q)), -fv),
-            (("df/dv upper", (P, Q)), fv - 1.0),
-            (("mixed partial", (P, Q)), fuv),
+            (("df/du lower", (ps, ps)), -fu),
+            (("df/du upper", (ps, ps)), fu - 1.0),
+            (("df/dv lower", (ps, ps)), -fv),
+            (("df/dv upper", (ps, ps)), fv - 1.0),
+            (("mixed partial", (ps, ps)), fuv),
         ]
         threshold = max(tol, 1e-7)
 
@@ -598,10 +614,11 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
     witness = None
     if not member:
         # the witness is the larger excess over its threshold, a NaN first
-        _, (q, (name, pts), at), _ = _worst([
+        _, (q, (name, axes), at), _ = _worst([
             ((worst_q, tag, at), [worst_q - threshold]),
             ((bound_q, bound_tag, bound_at), [bound_q - tol])])
-        witness = CouplingWitness(name, tuple(float(c[at]) for c in pts), q)
+        witness = CouplingWitness(
+            name, tuple(float(a[i]) for a, i in zip(axes, at)), q)
     # margin from the inequality checks only; the boundary rows sit on an
     # equality and would otherwise always pin the margin near zero
     return CouplingVerdict(member=member, mode=mode,

@@ -68,6 +68,14 @@ def _scalarize(out, *inputs):
     return out
 
 
+def _at_shape(out, shape):
+    """``out`` broadcast to the full query ``shape``, as a writable array."""
+    out = np.asarray(out)
+    if out.shape != shape or not out.flags.writeable:
+        out = np.array(np.broadcast_to(out, shape))
+    return out
+
+
 def _require_finite(message, *arrays):
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError(message)
@@ -106,6 +114,11 @@ def _lattice_sums(cells, shape, masses):
 # univariate distribution functions
 # ---------------------------------------------------------------------------
 
+# levels of the bisection tree that one ``eval`` call of
+# ``UnivariateDF.quantile_exceed`` covers: 2**8 - 1 = 255 midpoints
+_LOOKAHEAD = 8
+
+
 class UnivariateDF:
     """A one-dimensional distribution function.
 
@@ -138,7 +151,12 @@ class UnivariateDF:
         """inf{x : F(x) > c} for c in [0, 1), found by bisection.
 
         Exact for grid-backed DFs.  An infinite saturation point is bracketed
-        by doubling outward from the lower bracket.
+        by doubling outward from the lower bracket.  The bisection is
+        replayed: each ``eval`` call takes the midpoints of the next
+        ``_LOOKAHEAD`` levels of the bisection tree, computed as the
+        step-by-step bisection computes them, and the walk down the tree
+        keeps its ``> c`` test, stopping rule and 200-step cap, so the result
+        is the same float in fewer calls.
         """
         if not 0.0 <= c < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {c}")
@@ -163,15 +181,33 @@ class UnivariateDF:
             eps = 1e-12 * max(1.0, abs(lo))
             if self.eval(lo + eps) > c:
                 return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) > c:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-                break
-        return hi
+        size = 2 ** _LOOKAHEAD - 1
+        steps = 0
+        while True:
+            # the tree in heap order: node n covers [los[n], his[n]] and its
+            # children 2n + 1 (F(mid) > c, hi = mid) and 2n + 2 (lo = mid)
+            # share the midpoint, rounded as the scalar 0.5 * (lo + hi)
+            los, his = np.empty(2 * size + 1), np.empty(2 * size + 1)
+            los[0], his[0] = lo, hi
+            for k in range(_LOOKAHEAD):
+                s, e = 2 ** k - 1, 2 ** (k + 1) - 1
+                mids = 0.5 * (los[s:e] + his[s:e])
+                los[2 * s + 1:2 * e + 1:2] = los[s:e]
+                los[2 * s + 2:2 * e + 2:2] = mids
+                his[2 * s + 1:2 * e + 1:2] = mids
+                his[2 * s + 2:2 * e + 2:2] = his[s:e]
+            mids = his[1::2]
+            above = (np.asarray(self.eval(mids)) > c).tolist()
+            mids = mids.tolist()
+            n = 0
+            while n < size:
+                if above[n]:
+                    hi, n = mids[n], 2 * n + 1
+                else:
+                    lo, n = mids[n], 2 * n + 2
+                steps += 1
+                if hi - lo <= 1e-13 * max(1.0, abs(hi)) or steps == 200:
+                    return hi
 
 
 class GridUDF(UnivariateDF):
@@ -319,12 +355,18 @@ def ones_df():
 class BivariateDF:
     """A two-dimensional distribution function with explicit marginals.
 
-    ``_q(x1, x2)`` gives the product-to-joint ratio Q = F1*F2/F on
-    broadcast float arrays: F1*F2/F on {F > 0} and +inf on {F = 0}, unless
-    a subclass has a closed form that extends Q past {F > 0} (a copula
-    denominator, an exponent-measure tail).  The derived laws of
-    :mod:`bifreemax.convolution` are built from it, since Q - 1 is additive
-    under bi-free max-convolution.
+    ``_eval(x1, x2)`` and ``_q(x1, x2)`` receive float arrays that
+    broadcast together but are not broadcast: an outer-product query stays
+    on its axes, ``(nx, 1)`` and ``(1, ny)``, so marginals and other per-axis
+    work run on nx + ny points.  They may return any array that broadcasts
+    to the full shape; ``eval`` and ``q_eval`` broadcast the result.  A
+    subclass that indexes with boolean masks broadcasts its own inputs.
+
+    ``_q`` gives the product-to-joint ratio Q = F1*F2/F: F1*F2/F on {F > 0}
+    and +inf on {F = 0}, unless a subclass has a closed form that extends Q
+    past {F > 0} (a copula denominator, an exponent-measure tail).  The
+    derived laws of :mod:`bifreemax.convolution` are built from it, since
+    Q - 1 is additive under bi-free max-convolution.
     """
 
     kind = "abstract"
@@ -341,8 +383,9 @@ class BivariateDF:
         raise NotImplementedError
 
     def eval(self, x1, x2):
-        a1, a2 = np.broadcast_arrays(_as_float_array(x1), _as_float_array(x2))
-        return _scalarize(self._eval(a1, a2), x1, x2)
+        a1, a2 = _as_float_array(x1), _as_float_array(x2)
+        shape = np.broadcast_shapes(a1.shape, a2.shape)
+        return _scalarize(_at_shape(self._eval(a1, a2), shape), x1, x2)
 
     def __call__(self, x1, x2):
         return self.eval(x1, x2)
@@ -356,11 +399,12 @@ class BivariateDF:
     def q_eval(self, x1, x2):
         """The product-to-joint ratio F1*F2/F; raises SupportError where it
         is +inf, i.e. where F = 0 and no closed form extends it."""
-        a1, a2 = np.broadcast_arrays(_as_float_array(x1), _as_float_array(x2))
+        a1, a2 = _as_float_array(x1), _as_float_array(x2)
+        shape = np.broadcast_shapes(a1.shape, a2.shape)
         q = np.asarray(self._q(a1, a2))
         if np.any(np.isposinf(q)):
             raise SupportError("ratio requested at a point where F = 0")
-        return _scalarize(q, x1, x2)
+        return _scalarize(_at_shape(q, shape), x1, x2)
 
 
 class GridBDF(BivariateDF):

@@ -61,7 +61,6 @@ from .copulas import (
     LomaxCopula,
     MarshallOlkinCopula,
     PickandsFn,
-    SpectralPickands,
     SurvivalCopula,
     bifree_copula,
     check_copula_axioms,

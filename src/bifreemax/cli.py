@@ -20,6 +20,7 @@ decides c = -1 and c = 1) and a non-finite or out-of-square ``identity
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -75,11 +76,12 @@ def _out_path(args, path):
 
 def _print_verdict(args, payload):
     if args.format == "csv":
+        # RFC 4180 fields; a nested value or None is its JSON text
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for k, v in payload.items():
-            if isinstance(v, (dict, list)):
-                # nested values as JSON text in one RFC 4180 quoted field
-                v = '"' + json.dumps(v).replace('"', '""') + '"'
-            print(f"{k},{v}")
+            if v is None or isinstance(v, (dict, list)):
+                v = json.dumps(v)
+            writer.writerow([k, v])
     else:
         print(json.dumps(payload, indent=2))
 

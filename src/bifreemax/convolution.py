@@ -110,7 +110,10 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
     if t > 1.0:
         lower = F.quantile_exceed(1.0 - 1.0 / t)
     else:
-        lower = F.quantile_exceed(0.0)
+        # trust only a declared bound, as is_bifree_maxid does: probing
+        # cannot tell a lower endpoint from an underflowing tail
+        lower = F.quantile_exceed(0.0) if np.isfinite(F.support_lower) \
+            else np.inf
         if not np.isfinite(lower):
             raise ValueError("fractional powers need support bounded from below")
     # FuncUDF's clip to [0, 1] is the (.)_+
@@ -523,7 +526,8 @@ class ExpTailBDF(RatioBDF):
         self.t = float(t)
 
         def marginal(m):
-            lower = m.quantile_exceed(0.0)
+            lower = m.quantile_exceed(0.0) if np.isfinite(m.support_lower) \
+                else np.inf
             if not np.isfinite(lower):
                 raise ValueError("base DF must have support bounded below")
             # positive at F_j = 0, so the finite lower bound cuts it to 0

@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    DiscreteMeasure,
     SupportError,
     _as_float_array,
-    _at_shape,
     _cell_volumes,
+    _pointwise,
     _ratio,
-    _scalarize,
     _worst,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "PowerTransformCopula",
     "PickandsFn",
     "FuncPickands",
-    "SpectralPickands",
     "pickands_one",
     "pickands_lower",
     "gumbel_mixed_pickands",
@@ -72,12 +69,10 @@ __all__ = [
 class Copula:
     """Bivariate copula evaluated pointwise on [0, 1]^2.
 
-    ``_eval(u, v)`` and a ratio form's ``_f(u, v)`` receive float arrays
-    that broadcast together but are not broadcast, so an outer-product query
-    stays on its axes; they may return any array that broadcasts to the full
-    shape, and ``eval`` and ``f_eval`` broadcast the result.  A subclass
-    that indexes with boolean masks broadcasts its own inputs, as
-    ``EVCopula`` does.
+    ``eval`` and ``f_eval`` hand their queries to ``_eval(u, v)`` and a
+    ratio form's ``_f(u, v)`` under the contract of
+    :func:`~bifreemax.distributions._pointwise`.  A subclass that indexes
+    with boolean masks broadcasts its own inputs, as ``EVCopula`` does.
     """
 
     family = "abstract"
@@ -90,13 +85,8 @@ class Copula:
         raise NotImplementedError
 
     def eval(self, u, v):
-        ua, va = _as_float_array(u), _as_float_array(v)
-        shape = np.broadcast_shapes(ua.shape, va.shape)
-        if np.any(ua < -1e-12) or np.any(ua > 1 + 1e-12) or \
-                np.any(va < -1e-12) or np.any(va > 1 + 1e-12):
-            raise ValueError("copula arguments must lie in [0, 1]")
-        out = self._eval(np.clip(ua, 0.0, 1.0), np.clip(va, 0.0, 1.0))
-        return _scalarize(_at_shape(out, shape), u, v)
+        return _pointwise(self._eval, u, v,
+                          unit="copula arguments must lie in [0, 1]")
 
     def __call__(self, u, v):
         return self.eval(u, v)
@@ -108,12 +98,13 @@ class Copula:
         fallback divides, is +inf where C = 0 < uv, and extends by the limit
         max(u, v) on the axes.
         """
-        ua, va = _as_float_array(u), _as_float_array(v)
-        c = np.asarray(self.eval(ua, va))
-        prod = ua * va
-        out = np.where(prod > 0.0, _ratio(prod, c, c > 0, np.inf),
-                       np.maximum(ua, va))
-        return _scalarize(out, u, v)
+        def f(ua, va):
+            c = np.asarray(self.eval(ua, va))
+            prod = ua * va
+            return np.where(prod > 0.0, _ratio(prod, c, c > 0, np.inf),
+                            np.maximum(ua, va))
+
+        return _pointwise(f, u, v)
 
 
 class _FFormCopula(Copula):
@@ -123,9 +114,7 @@ class _FFormCopula(Copula):
         raise NotImplementedError
 
     def f_eval(self, u, v):
-        ua, va = _as_float_array(u), _as_float_array(v)
-        shape = np.broadcast_shapes(ua.shape, va.shape)
-        return _scalarize(_at_shape(self._f(ua, va), shape), u, v)
+        return _pointwise(self._f, u, v)
 
     def _eval(self, u, v):
         f = self._f(u, v)
@@ -153,8 +142,7 @@ class ComonotoneCopula(Copula):
         return np.minimum(u, v)
 
     def f_eval(self, u, v):
-        ua, va = _as_float_array(u), _as_float_array(v)
-        return _scalarize(np.maximum(ua, va), u, v)
+        return _pointwise(np.maximum, u, v)
 
 
 class AMHCopula(_FFormCopula):
@@ -247,10 +235,8 @@ class PickandsFn:
         raise NotImplementedError
 
     def eval(self, t):
-        ta = _as_float_array(t)
-        if np.any(ta < -1e-12) or np.any(ta > 1 + 1e-12):
-            raise ValueError("Pickands argument must lie in [0, 1]")
-        return _scalarize(self._eval(np.clip(ta, 0.0, 1.0)), t)
+        return _pointwise(self._eval, t,
+                          unit="Pickands argument must lie in [0, 1]")
 
     def __call__(self, t):
         return self.eval(t)
@@ -265,33 +251,6 @@ class FuncPickands(PickandsFn):
 
     def _eval(self, t):
         return self._fn(t)
-
-
-class SpectralPickands(PickandsFn):
-    """A(t) = sum_i max(t*x_i, (1-t)*y_i) * m_i for a discrete measure on the
-    simplex {x + y = 1, x, y >= 0} obeying the unit mean constraints, both
-    checked to within 1e-9."""
-
-    form = "spectral"
-    smooth = False
-
-    def __init__(self, measure: DiscreteMeasure):
-        pts, ms = measure.points, measure.masses
-        tol = 1e-9
-        if np.any(np.abs(pts.sum(axis=1) - 1.0) > tol) or np.any(pts < -tol):
-            raise ValueError("spectral measure must sit on the unit simplex")
-        mx = float((pts[:, 0] * ms).sum())
-        my = float((pts[:, 1] * ms).sum())
-        if abs(mx - 1.0) > tol or abs(my - 1.0) > tol:
-            raise ValueError(
-                f"mean constraints violated: integral of x is {mx!r}, of y is {my!r}")
-        super().__init__({"atoms": pts.shape[0]})
-        self.measure = measure
-
-    def _eval(self, t):
-        ta = t[..., None]
-        pts, ms = self.measure.points, self.measure.masses
-        return (np.maximum(ta * pts[:, 0], (1.0 - ta) * pts[:, 1]) * ms).sum(axis=-1)
 
 
 def pickands_one():
@@ -331,8 +290,24 @@ def marshall_olkin_pickands(theta, phi):
 
 
 def pickands_from_measure(measure):
-    """Spectral Pickands function of a discrete simplex measure."""
-    return SpectralPickands(measure)
+    """Spectral Pickands function A(t) = sum_i max(t*x_i, (1-t)*y_i) * m_i of
+    a discrete measure on the simplex {x + y = 1, x, y >= 0} obeying the unit
+    mean constraints, both checked to within 1e-9."""
+    pts, ms = measure.points, measure.masses
+    tol = 1e-9
+    if np.any(np.abs(pts.sum(axis=1) - 1.0) > tol) or np.any(pts < -tol):
+        raise ValueError("spectral measure must sit on the unit simplex")
+    mx = float((pts[:, 0] * ms).sum())
+    my = float((pts[:, 1] * ms).sum())
+    if abs(mx - 1.0) > tol or abs(my - 1.0) > tol:
+        raise ValueError(
+            f"mean constraints violated: integral of x is {mx!r}, of y is {my!r}")
+
+    def fn(t):
+        ta = t[..., None]
+        return (np.maximum(ta * pts[:, 0], (1.0 - ta) * pts[:, 1]) * ms).sum(axis=-1)
+
+    return FuncPickands(fn, form="spectral", params={"atoms": pts.shape[0]})
 
 
 class EVCopula(Copula):

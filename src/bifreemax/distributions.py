@@ -68,8 +68,27 @@ def _scalarize(out, *inputs):
     return out
 
 
-def _at_shape(out, shape):
-    """``out`` broadcast to the full query ``shape``, as a writable array."""
+def _pointwise(compute, *queries, unit=None):
+    """The query contract of the bivariate, copula, Pickands and measure
+    evaluators: ``compute`` runs on the queries as float arrays that must
+    broadcast together (ValueError otherwise) but are not broadcast, so an
+    outer-product query stays on its axes, ``(nx, 1)`` and ``(1, ny)``, and
+    may return any array that broadcasts to the full shape.  The result is a
+    float when every query is a scalar, else a writable array of the full
+    shape.  With a message ``unit``, every query must lie in [0, 1] within
+    1e-12 (ValueError(unit) otherwise) and is clipped to it.
+    """
+    arrays = [np.asarray(q, dtype=np.float64) for q in queries]
+    # np.broadcast checks as np.broadcast_shapes does, in a third the time
+    shape = np.broadcast(*arrays).shape
+    if unit is not None:
+        for i, a in enumerate(arrays):
+            if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+                raise ValueError(unit)
+            arrays[i] = np.clip(a, 0.0, 1.0)
+    out = compute(*arrays)
+    if not shape:
+        return float(out)
     out = np.asarray(out)
     if out.shape != shape or not out.flags.writeable:
         out = np.array(np.broadcast_to(out, shape))
@@ -189,13 +208,17 @@ class UnivariateDF:
             # share the midpoint, rounded as the scalar 0.5 * (lo + hi)
             los, his = np.empty(2 * size + 1), np.empty(2 * size + 1)
             los[0], his[0] = lo, hi
-            for k in range(_LOOKAHEAD):
-                s, e = 2 ** k - 1, 2 ** (k + 1) - 1
-                mids = 0.5 * (los[s:e] + his[s:e])
-                los[2 * s + 1:2 * e + 1:2] = los[s:e]
-                los[2 * s + 2:2 * e + 2:2] = mids
-                his[2 * s + 1:2 * e + 1:2] = mids
-                his[2 * s + 2:2 * e + 2:2] = his[s:e]
+            # a node the walk never visits may span more than the largest
+            # float and its midpoint overflow; each visited midpoint is the
+            # float the step-by-step bisection computes
+            with np.errstate(over="ignore"):
+                for k in range(_LOOKAHEAD):
+                    s, e = 2 ** k - 1, 2 ** (k + 1) - 1
+                    mids = 0.5 * (los[s:e] + his[s:e])
+                    los[2 * s + 1:2 * e + 1:2] = los[s:e]
+                    los[2 * s + 2:2 * e + 2:2] = mids
+                    his[2 * s + 1:2 * e + 1:2] = mids
+                    his[2 * s + 2:2 * e + 2:2] = his[s:e]
             mids = his[1::2]
             above = (np.asarray(self.eval(mids)) > c).tolist()
             mids = mids.tolist()
@@ -355,12 +378,10 @@ def ones_df():
 class BivariateDF:
     """A two-dimensional distribution function with explicit marginals.
 
-    ``_eval(x1, x2)`` and ``_q(x1, x2)`` receive float arrays that
-    broadcast together but are not broadcast: an outer-product query stays
-    on its axes, ``(nx, 1)`` and ``(1, ny)``, so marginals and other per-axis
-    work run on nx + ny points.  They may return any array that broadcasts
-    to the full shape; ``eval`` and ``q_eval`` broadcast the result.  A
-    subclass that indexes with boolean masks broadcasts its own inputs.
+    ``eval`` and ``q_eval`` hand their queries to ``_eval(x1, x2)`` and
+    ``_q(x1, x2)`` under the contract of :func:`_pointwise`, so marginals
+    run on the axes of an outer-product query.  A subclass that indexes with
+    boolean masks broadcasts its own inputs.
 
     ``_q`` gives the product-to-joint ratio Q = F1*F2/F: F1*F2/F on {F > 0}
     and +inf on {F = 0}, unless a subclass has a closed form that extends Q
@@ -383,9 +404,7 @@ class BivariateDF:
         raise NotImplementedError
 
     def eval(self, x1, x2):
-        a1, a2 = _as_float_array(x1), _as_float_array(x2)
-        shape = np.broadcast_shapes(a1.shape, a2.shape)
-        return _scalarize(_at_shape(self._eval(a1, a2), shape), x1, x2)
+        return _pointwise(self._eval, x1, x2)
 
     def __call__(self, x1, x2):
         return self.eval(x1, x2)
@@ -399,12 +418,13 @@ class BivariateDF:
     def q_eval(self, x1, x2):
         """The product-to-joint ratio F1*F2/F; raises SupportError where it
         is +inf, i.e. where F = 0 and no closed form extends it."""
-        a1, a2 = _as_float_array(x1), _as_float_array(x2)
-        shape = np.broadcast_shapes(a1.shape, a2.shape)
-        q = np.asarray(self._q(a1, a2))
-        if np.any(np.isposinf(q)):
-            raise SupportError("ratio requested at a point where F = 0")
-        return _scalarize(_at_shape(q, shape), x1, x2)
+        def finite_q(a1, a2):
+            q = np.asarray(self._q(a1, a2))
+            if np.any(np.isposinf(q)):
+                raise SupportError("ratio requested at a point where F = 0")
+            return q
+
+        return _pointwise(finite_q, x1, x2)
 
 
 class GridBDF(BivariateDF):
@@ -563,15 +583,12 @@ class DiscreteMeasure:
         distinct query coordinates per axis (q query points in all): O(k +
         output) on a product probe grid, never more than O(k * q).
         """
-        a1, a2 = _as_float_array(x1), _as_float_array(x2)
-        # queries that do not broadcast raise ValueError, not IndexError
-        np.broadcast_shapes(a1.shape, a2.shape)
-        return _scalarize(self._mass_above((0, 1), (a1, a2)), x1, x2)
+        return _pointwise(lambda *q: self._mass_above((0, 1), q), x1, x2)
 
     def marginal_tail(self, axis, x):
         """Mass of the open half-plane beyond ``x`` on ``axis``, exact, in
         O(k + q) memory."""
-        return _scalarize(self._mass_above((axis,), (_as_float_array(x),)), x)
+        return _pointwise(lambda *q: self._mass_above((axis,), q), x)
 
     def scaled(self, t):
         if t < 0:

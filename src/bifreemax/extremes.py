@@ -60,15 +60,14 @@ class GEVParams:
             raise ValueError("sigma must be positive")
 
 
-def gev_df(params=None, *, xi=None, m=0.0, sigma=1.0) -> UnivariateDF:
+def gev_df(*, xi, m=0.0, sigma=1.0) -> UnivariateDF:
     """Generalized extreme-value DF.
 
     ``exp[-(1 + xi*(x-m)/sigma)^(-1/xi)]`` on ``1 + xi*(x-m)/sigma > 0``
     (Gumbel limit form at xi = 0), extended by 0 below a Frechet lower
     endpoint and by 1 above a Weibull upper endpoint.
     """
-    if params is None:
-        params = GEVParams(float(xi), float(m), float(sigma))
+    params = GEVParams(float(xi), float(m), float(sigma))
     xi, m, sigma = params.xi, params.m, params.sigma
     if xi == 0.0:
         def fn(x):
@@ -95,34 +94,25 @@ def gev_df(params=None, *, xi=None, m=0.0, sigma=1.0) -> UnivariateDF:
                    params={"xi": xi, "m": m, "sigma": sigma})
 
 
-class _FreeTypeUDF(UnivariateDF):
-    """(1 + log G)_+ applied to the values of a classical DF."""
-
-    kind = "free-of-classical"
-
-    def __init__(self, base):
-        self.base = base
-        if base.kind == "gev":
-            # G crosses 1/e exactly at the location parameter
-            lower = base.params["m"]
-        else:
-            lower = base.quantile_exceed(math.exp(-1.0))
-        super().__init__(lower, base.saturation)
-
-    def _eval(self, x):
-        g = np.asarray(self.base.eval(x))
-        with np.errstate(divide="ignore"):
-            out = np.where(g > 0.0, 1.0 + np.log(np.maximum(g, 1e-300)), 0.0)
-        return np.clip(out, 0.0, 1.0)
-
-
 def free_from_classical(G: UnivariateDF) -> UnivariateDF:
     """Apply the homomorphism x -> (1 + log x)_+ to the values of ``G``.
 
     Sends each classical extreme type to the matching free type and turns
     the pointwise product of DFs into their free max-convolution.
     """
-    return _FreeTypeUDF(G)
+    if G.kind == "gev":
+        # G crosses 1/e exactly at the location parameter
+        lower = G.params["m"]
+    else:
+        lower = G.quantile_exceed(math.exp(-1.0))
+
+    def fn(x):
+        g = G.eval(x)
+        return np.where(g > 0.0, 1.0 + np.log(np.maximum(g, 1e-300)), 0.0)
+
+    # FuncUDF's clip to [0, 1] is the (.)_+
+    return FuncUDF(fn, lower, G.saturation, kind="free-of-classical",
+                   params={"base": G})
 
 
 def classical_mev(G1, G2, A: PickandsFn) -> BivariateDF:
@@ -175,7 +165,7 @@ def _axis_normalizers(F: UnivariateDF):
             return (lambda n: 1.0), (lambda n: s * math.log(n))
         return (lambda n: n ** xi), (lambda n: (n ** xi - 1.0) * (s / xi - m))
     if kind == "free-of-classical":
-        return _axis_normalizers(F.base)
+        return _axis_normalizers(p["base"])
     raise ValueError(f"no default normalizers for marginal kind {kind!r}")
 
 

@@ -87,11 +87,8 @@ def udf_to_obj(F, knots=None):
 def udf_from_obj(obj):
     if obj.get("kind") != "grid":
         raise ValueError(f"expected kind 'grid', got {obj.get('kind')!r}")
-    sat = obj.get("saturation")
-    lo = obj.get("L")
-    return GridUDF(obj["knots"], obj["values"],
-                   support_lower=lo if lo is not None else None,
-                   saturation=sat if sat is not None else None)
+    return GridUDF(obj["knots"], obj["values"], support_lower=obj.get("L"),
+                   saturation=obj.get("saturation"))
 
 
 def bdf_to_obj(F, xknots=None, yknots=None):

@@ -119,3 +119,20 @@ def test_csv_scalar_lines_keep_their_bytes(capsys):
     assert lines[1] == "spec,amh:theta=-0.2"
     assert lines[2] == "status,nonmember"
     assert lines[4] == f"min_margin,{payload['min_margin']}"
+
+
+@pytest.mark.parametrize("argv,nulls", [
+    (["check", "classical-maxid", "dirac:0,0"], ["witness"]),
+    (["check", "maxid", "dirac:0,0"], ["margin", "witness"]),
+])
+def test_csv_scalar_fields_with_commas_or_none(argv, nulls, capsys):
+    text, payload = _csv_and_json(argv, 0, capsys)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and all(len(row) == 2 for row in rows)
+    assert [key for key, _ in rows] == list(payload)
+    values = dict(rows)
+    assert values["input"] == payload["input"] == "dirac:0,0"
+    assert values["reason"] == payload["reason"]
+    for key in nulls:
+        assert payload[key] is None
+        assert values[key] == "null"

@@ -1,18 +1,22 @@
 """The marginals of derived laws: their kind, declared support bounds and
 values against the closed formulas of the free marginal operations, the
-CLI summary that prints them, and the ratio copula's division near the
-origin."""
+CLI summary that prints them, the ratio copula's division near the
+origin, and the refusal of bases whose support is not declared bounded
+below."""
+
+import math
 
 import numpy as np
 import pytest
 
-from bifreemax import (CoupledBDF, GridUDF, beta_free_df, exponential_free_df,
-                       uniform_df)
+from bifreemax import (CoupledBDF, FuncUDF, GridUDF, beta_free_df,
+                       exponential_free_df, pareto_free_df, uniform_df)
 from bifreemax.cli import main
 from bifreemax.convolution import (free_maxconv, free_power,
                                    maxid_from_tail_functional)
 from bifreemax.copulas import AMHCopula, BiFreeCopula, pickands_lower
 from bifreemax.distributions import product_df
+from bifreemax.extremes import free_from_classical, gev_df
 
 NAN = float("nan")
 
@@ -126,3 +130,70 @@ def test_ratio_copula_where_f_rounds_to_zero(u):
     c = C.eval(u, u)
     assert np.isfinite(c)
     assert 0.0 <= c <= u
+
+
+FREE_BASES = {
+    "gev-weibull": gev_df(xi=-0.5),
+    "gev-gumbel": gev_df(xi=0.0, m=0.5, sigma=2.0),
+    "gev-frechet": gev_df(xi=1.0, m=1.0, sigma=1.0),
+    "pareto": pareto_free_df(2.0),
+}
+
+
+class TestFreeOfClassical:
+    @pytest.mark.parametrize("name", sorted(FREE_BASES))
+    def test_marginal(self, name):
+        G = FREE_BASES[name]
+
+        def formula(x):
+            g = np.asarray(G.eval(x))
+            pos = g > 0.0
+            free = np.clip(1.0 + np.log(np.where(pos, g, 1.0)), 0.0, 1.0)
+            return np.where(pos, free, 0.0)
+
+        # G crosses 1/e at the location of a GEV, elsewhere where bisected
+        lower = G.params["m"] if G.kind == "gev" \
+            else G.quantile_exceed(math.exp(-1.0))
+        _check(free_from_classical(G), "free-of-classical", lower,
+               G.saturation, formula)
+
+    def test_pareto_lower_bound_is_the_crossing_of_one_over_e(self):
+        lower = free_from_classical(FREE_BASES["pareto"]).support_lower
+        assert lower == pytest.approx((1.0 - math.exp(-1.0)) ** -0.5,
+                                      rel=1e-12)
+
+
+def _gumbel(x):
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(-x))
+
+
+def _logistic(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+# support unbounded below, but the values underflow to 0 at a finite point
+# (-6.61 and -709.8), which a probe would take for a lower endpoint
+UNDERFLOWING = {"gumbel": FuncUDF(_gumbel), "logistic": FuncUDF(_logistic)}
+
+
+class TestUnboundedBase:
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING))
+    def test_fractional_power_is_refused(self, name):
+        with pytest.raises(ValueError, match="fractional powers need support "
+                                             "bounded from below"):
+            free_power(UNDERFLOWING[name], 0.5)
+
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING))
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_tail_functional_law_is_refused(self, name, t):
+        m = UNDERFLOWING[name]
+        with pytest.raises(ValueError, match="base DF must have support "
+                                             "bounded below"):
+            maxid_from_tail_functional(CoupledBDF(AMHCopula(0.5), m, m), t)
+
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING))
+    def test_powers_above_one_keep_their_quantile_bound(self, name):
+        m = UNDERFLOWING[name]
+        assert free_power(m, 2.5).support_lower == m.quantile_exceed(0.6)

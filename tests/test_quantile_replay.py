@@ -2,6 +2,8 @@
 float of the step-by-step bisection, kept here as the oracle, in fewer
 ``eval`` calls."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +165,16 @@ def test_pareto_quantile_takes_few_calls():
     q, n = _calls(pareto_free_df(2.0), 0.999)
     assert q == scalar_quantile_exceed(pareto_free_df(2.0), 0.999)
     assert n <= 20
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_tree_spanning_more_than_the_largest_float_is_silent(free):
+    """A tiny xi puts the support edge m - sigma/xi near -1.35e308, so tree
+    nodes the walk never visits span more than the largest float."""
+    G = gev_df(xi=1.1125369292536007e-308, m=0.0, sigma=1.5)
+    assert -np.inf < G.support_lower < -1e308
+    F = free_from_classical(G) if free else G
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(F.quantile_exceed, 0.0)
+    assert got == _outcome(scalar_quantile_exceed, F, 0.0)

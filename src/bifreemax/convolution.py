@@ -42,8 +42,8 @@ from .distributions import (
     UnivariateDF,
     _cell_volumes,
     _probe_grid,
+    _pointwise,
     _ratio,
-    _scalarize,
     _worst,
     bdf_from_law,
     law_from_bdf,
@@ -238,7 +238,7 @@ def _ratio_parts(F: BivariateDF, x1, x2):
 def product_ratio(F: BivariateDF, x1, x2):
     """Q(x) = F1(x1) * F2(x2) / F(x), read from the law's ratio (exact for a
     closed form); requires F > 0 at every request."""
-    return _scalarize(_ratio_parts(F, x1, x2)[0], x1, x2)
+    return _pointwise(lambda a, b: _ratio_parts(F, a, b)[0], x1, x2)
 
 
 def tail_functional(F: BivariateDF, x1, x2):
@@ -247,8 +247,11 @@ def tail_functional(F: BivariateDF, x1, x2):
     For max-i.d. DFs this equals lambda*(1 - H) for the normalized jump law
     H, and exp(-t*T) is a classical max-i.d. DF for every t > 0.
     """
-    q, m1, m2 = _ratio_parts(F, x1, x2)
-    return _scalarize(q - m1 - m2 + 1.0, x1, x2)
+    def tail(a, b):
+        q, m1, m2 = _ratio_parts(F, a, b)
+        return q - m1 - m2 + 1.0
+
+    return _pointwise(tail, x1, x2)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ class Copula:
 
     ``eval`` and ``f_eval`` hand their queries to ``_eval(u, v)`` and a
     ratio form's ``_f(u, v)`` under the contract of
-    :func:`~bifreemax.distributions._pointwise`.  A subclass that indexes
-    with boolean masks broadcasts its own inputs, as ``EVCopula`` does.
+    :func:`~bifreemax.distributions._pointwise`.
     """
 
     family = "abstract"
@@ -321,22 +320,14 @@ class EVCopula(Copula):
         self.smooth = pickands.smooth
 
     def _eval(self, u, v):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        zero = (u <= 0.0) | (v <= 0.0)
-        one_u = u >= 1.0
-        one_v = v >= 1.0
-        interior = ~zero & ~one_u & ~one_v
-        out[zero] = 0.0
-        out[one_u & ~zero] = v[one_u & ~zero]
-        out[one_v & ~zero] = u[one_v & ~zero]
-        if np.any(interior):
-            lu = np.log(u[interior])
-            lv = np.log(v[interior])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lu, lv = np.log(u), np.log(v)
             w = lu + lv
-            a = self.pickands.eval(np.clip(lu / w, 0.0, 1.0))
-            out[interior] = np.exp(w * a)
-        return out
+            t = np.clip(lu / w, 0.0, 1.0)
+        # t may be NaN on the edges, where the value is 0, u or v
+        c = np.exp(w * self.pickands.eval(t))
+        return np.where((u <= 0.0) | (v <= 0.0), 0.0,
+                        np.where(u >= 1.0, v, np.where(v >= 1.0, u, c)))
 
 
 class BiFreeCopula(_FFormCopula):

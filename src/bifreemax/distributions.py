@@ -62,12 +62,6 @@ def _as_float_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _scalarize(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
-
-
 def _pointwise(compute, *queries, unit=None):
     """The query contract of the bivariate, copula, Pickands and measure
     evaluators: ``compute`` runs on the queries as float arrays that must
@@ -161,7 +155,7 @@ class UnivariateDF:
             out = np.where(xa < self.support_lower, 0.0, out)
         if np.isfinite(self.saturation):
             out = np.where(xa >= self.saturation, 1.0, out)
-        return _scalarize(out, x)
+        return float(out) if np.ndim(x) == 0 else out
 
     def __call__(self, x):
         return self.eval(x)
@@ -172,10 +166,10 @@ class UnivariateDF:
         Exact for grid-backed DFs.  An infinite saturation point is bracketed
         by doubling outward from the lower bracket.  The bisection is
         replayed: each ``eval`` call takes the midpoints of the next
-        ``_LOOKAHEAD`` levels of the bisection tree, computed as the
-        step-by-step bisection computes them, and the walk down the tree
-        keeps its ``> c`` test, stopping rule and 200-step cap, so the result
-        is the same float in fewer calls.
+        ``_LOOKAHEAD`` levels of the bisection tree in one sorted ladder,
+        computed as the step-by-step bisection computes them, and the walk
+        down the tree keeps its ``> c`` test, stopping rule and 200-step cap,
+        so the result is the same float in fewer calls.
         """
         if not 0.0 <= c < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {c}")
@@ -200,34 +194,30 @@ class UnivariateDF:
             eps = 1e-12 * max(1.0, abs(lo))
             if self.eval(lo + eps) > c:
                 return lo
-        size = 2 ** _LOOKAHEAD - 1
         steps = 0
         while True:
-            # the tree in heap order: node n covers [los[n], his[n]] and its
-            # children 2n + 1 (F(mid) > c, hi = mid) and 2n + 2 (lo = mid)
-            # share the midpoint, rounded as the scalar 0.5 * (lo + hi)
-            los, his = np.empty(2 * size + 1), np.empty(2 * size + 1)
-            los[0], his[0] = lo, hi
-            # a node the walk never visits may span more than the largest
-            # float and its midpoint overflow; each visited midpoint is the
-            # float the step-by-step bisection computes
+            # the bisection tree as one sorted ladder: each level puts
+            # 0.5 * (a + b) between neighbours a and b, the float the
+            # step-by-step bisection computes for the node [a, b], so node
+            # [pts[i], pts[j]] has its midpoint at pts[(i + j) // 2]; a node
+            # the walk never visits may span more than the largest float
+            # and its midpoint overflow
+            pts = np.array([lo, hi])
             with np.errstate(over="ignore"):
-                for k in range(_LOOKAHEAD):
-                    s, e = 2 ** k - 1, 2 ** (k + 1) - 1
-                    mids = 0.5 * (los[s:e] + his[s:e])
-                    los[2 * s + 1:2 * e + 1:2] = los[s:e]
-                    los[2 * s + 2:2 * e + 2:2] = mids
-                    his[2 * s + 1:2 * e + 1:2] = mids
-                    his[2 * s + 2:2 * e + 2:2] = his[s:e]
-            mids = his[1::2]
-            above = (np.asarray(self.eval(mids)) > c).tolist()
-            mids = mids.tolist()
-            n = 0
-            while n < size:
-                if above[n]:
-                    hi, n = mids[n], 2 * n + 1
+                for _ in range(_LOOKAHEAD):
+                    ladder = np.empty(2 * pts.size - 1)
+                    ladder[0::2] = pts
+                    ladder[1::2] = 0.5 * (pts[:-1] + pts[1:])
+                    pts = ladder
+            above = (np.asarray(self.eval(pts[1:-1])) > c).tolist()
+            pts = pts.tolist()
+            i, j = 0, len(pts) - 1
+            while j - i > 1:
+                m = (i + j) // 2
+                if above[m - 1]:
+                    hi, j = pts[m], m
                 else:
-                    lo, n = mids[n], 2 * n + 2
+                    lo, i = pts[m], m
                 steps += 1
                 if hi - lo <= 1e-13 * max(1.0, abs(hi)) or steps == 200:
                     return hi
@@ -380,8 +370,7 @@ class BivariateDF:
 
     ``eval`` and ``q_eval`` hand their queries to ``_eval(x1, x2)`` and
     ``_q(x1, x2)`` under the contract of :func:`_pointwise`, so marginals
-    run on the axes of an outer-product query.  A subclass that indexes with
-    boolean masks broadcasts its own inputs.
+    run on the axes of an outer-product query.
 
     ``_q`` gives the product-to-joint ratio Q = F1*F2/F: F1*F2/F on {F > 0}
     and +inf on {F = 0}, unless a subclass has a closed form that extends Q

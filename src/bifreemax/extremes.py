@@ -88,7 +88,9 @@ def gev_df(*, xi, m=0.0, sigma=1.0) -> UnivariateDF:
 
         def fn(x):
             w = np.maximum(1.0 + xi * (x - m) / sigma, 0.0)
-            return np.exp(-np.power(w, -1.0 / xi))
+            # far below the mode w**(-1/xi) overflows; F = exp(-inf) = 0
+            with np.errstate(over="ignore"):
+                return np.exp(-np.power(w, -1.0 / xi))
 
     return FuncUDF(fn, support_lower=lower, saturation=sat, kind="gev",
                    params={"xi": xi, "m": m, "sigma": sigma})

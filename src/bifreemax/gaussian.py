@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import product_ratio, tail_functional
-from .distributions import (GridBDF, _as_float_array, _scalarize, _worst,
+from .distributions import (GridBDF, _as_float_array, _pointwise, _worst,
                             semicircle_df)
 from .quadrature import adaptive_panels, panel_nodes, tensor_cells
 
@@ -77,14 +77,17 @@ def kernel_denominator(c, s, t):
 def density(c, s, t):
     """Density p_c(s, t); zero off the square, undefined at |c| = 1."""
     cv = _density_c(c)
-    sa, ta = np.broadcast_arrays(_as_float_array(s), _as_float_array(t))
-    inside = (np.abs(sa) <= 2.0) & (np.abs(ta) <= 2.0)
-    sc = np.clip(sa, -2.0, 2.0)
-    tc = np.clip(ta, -2.0, 2.0)
-    num = np.sqrt(4.0 - sc * sc) * np.sqrt(4.0 - tc * tc)
-    out = (1.0 - cv * cv) / (4.0 * math.pi ** 2) * num \
-        / kernel_denominator(cv, sc, tc)
-    return _scalarize(np.where(inside, out, 0.0), s, t)
+
+    def p(sa, ta):
+        inside = (np.abs(sa) <= 2.0) & (np.abs(ta) <= 2.0)
+        sc = np.clip(sa, -2.0, 2.0)
+        tc = np.clip(ta, -2.0, 2.0)
+        num = np.sqrt(4.0 - sc * sc) * np.sqrt(4.0 - tc * tc)
+        out = (1.0 - cv * cv) / (4.0 * math.pi ** 2) * num \
+            / kernel_denominator(cv, sc, tc)
+        return np.where(inside, out, 0.0)
+
+    return _pointwise(p, s, t)
 
 
 def _density_c(c):

@@ -8,6 +8,7 @@ variable: callers pass smooth integrands on phi-intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,18 +20,15 @@ __all__ = [
     "tensor_cells",
 ]
 
-_CACHE = {}
-
 # integrand values tensor_cells holds at once (8 MB of float64); large enough
 # that comparison_integral's 552^2 lattice and the default ratio probe of
 # maxid_verdict (960^2) each run in one block, as splitting them costs time
 _BLOCK = 1 << 20
 
 
+@functools.cache
 def _rule(order):
-    if order not in _CACHE:
-        _CACHE[order] = leggauss(order)
-    return _CACHE[order]
+    return leggauss(order)
 
 
 def panel_nodes(edges, order=32):

@@ -10,7 +10,9 @@ import pytest
 
 from bifreemax import DiscreteMeasure, pickands_from_measure
 from bifreemax import copulas as cp
+from bifreemax.convolution import product_ratio, tail_functional
 from bifreemax.distributions import _pointwise
+from bifreemax.gaussian import density
 from test_compact_axes import COPULAS, LAWS
 
 MEASURE = DiscreteMeasure([[0.0, 1.0], [1.5, 0.5], [2.0, 2.0]], [0.2, 0.5, 0.3])
@@ -26,6 +28,9 @@ PICKANDS = {
 # laws are queried on [2.5, 3], where every one of them is positive, the
 # others on [0.6, 1]
 LAW, UNIT = (2.5, 3.0), (0.6, 1.0)
+# the ratio transforms raise where F = 0, and power-grid-3 is 0 at (2.5, 2.5);
+# every law is positive on [2.75, 3]
+RATIO = (2.75, 3.0)
 
 
 def _evaluators():
@@ -33,11 +38,16 @@ def _evaluators():
     for name, F in LAWS.items():
         out[f"{name}.eval"] = (F.eval, 2, LAW)
         out[f"{name}.q_eval"] = (F.q_eval, 2, LAW)
+        out[f"{name}.product_ratio"] = (
+            lambda x1, x2, F=F: product_ratio(F, x1, x2), 2, RATIO)
+        out[f"{name}.tail_functional"] = (
+            lambda x1, x2, F=F: tail_functional(F, x1, x2), 2, RATIO)
     for name, C in COPULAS.items():
         out[f"{name}.copula_eval"] = (C.eval, 2, UNIT)
         out[f"{name}.f_eval"] = (C.f_eval, 2, UNIT)
     for name, A in PICKANDS.items():
         out[f"pickands-{name}"] = (A.eval, 1, UNIT)
+    out["gaussian.density"] = (lambda s, t: density(0.3, s, t), 2, UNIT)
     out["measure.tail"] = (MEASURE.tail, 2, UNIT)
     out["measure.marginal_tail"] = (lambda x: MEASURE.marginal_tail(1, x), 1,
                                     UNIT)

@@ -10,7 +10,8 @@ could cover nothing: an empty or non-positive ``--ns``, ``--grid`` below 3
 for ``check copula`` or below 2 for ``check copula-axioms``, ``check
 maxid`` with neither a spec nor ``--gaussian``, ``experiment
 compound-poisson --max-log2`` below 1, and ``gaussian density`` or
-``gaussian cdf`` with ``--resolution`` below 2.  A ``gaussian``
+``gaussian cdf`` with ``--resolution`` below 2, or for ``gaussian cdf``
+too coarse to resolve the kernel near |c| = 1.  A ``gaussian``
 correlation that is NaN or has |c| >= 1 (except for ``verdict``, which
 decides c = -1 and c = 1) and a non-finite or out-of-square ``identity
 --xs`` point exit 4 too (argparse usage errors keep the stdlib exit code

@@ -35,6 +35,7 @@ from .quadrature import adaptive_panels, panel_nodes, tensor_cells
 __all__ = [
     "GaussianCorr",
     "NoDensityError",
+    "UnresolvedQuadratureError",
     "density",
     "kernel_denominator",
     "cdf_grid",
@@ -49,6 +50,11 @@ __all__ = [
 
 class NoDensityError(ValueError):
     """Raised when a density is requested at |c| = 1 (singular support)."""
+
+
+class UnresolvedQuadratureError(ValueError):
+    """Raised when the panels of a CDF lattice do not resolve the kernel:
+    its cells do not sum to the unit mass of the density."""
 
 
 @dataclass(frozen=True)
@@ -119,18 +125,29 @@ def _weight(phi):
 def _weighted_kernel(c, scale):
     """The integrand scale * w(s) w(t) / D_c(s, t) of phi and psi, with
     s = 2 sin(phi), t = 2 sin(psi) and w the semicircle weight times the
-    Jacobian; only 1/D_c is built at the full tensor size, in place."""
+    Jacobian, for the node arrays of ``tensor_cells``: phi varies on the
+    leading axes and psi on the trailing ones.
+
+    D_c(s, t) = (k0 + k2 s^2) * 1 + 1 * (k2 t^2) + (-k1 s) * t has rank 3,
+    and so has its quotient by scale * w(s) w(t): each factor is divided by
+    its own axis weight, and scale goes into the s factors.  The integrand
+    builds the (n, 3) and (3, m) factor matrices on the axes, forms the
+    block as one matrix product and takes its reciprocal in place, two
+    passes at the full tensor size.
+    """
     k0, k1, k2 = (1.0 - c * c) ** 2, c * (1.0 + c * c), c * c
 
     def integrand(phi, psi):
+        shape = np.broadcast_shapes(phi.shape, psi.shape)
+        phi, psi = phi.ravel(), psi.ravel()
         s = 2.0 * np.sin(phi)
         t = 2.0 * np.sin(psi)
-        d = np.multiply(k1 * s, t)
-        np.subtract(k0 + k2 * s * s, d, out=d)
-        d += k2 * t * t
-        np.divide(scale * _weight(phi), d, out=d)
-        d *= _weight(psi)
-        return d
+        left = np.stack([k0 + k2 * s * s, np.ones_like(s), -k1 * s], axis=1)
+        left /= (scale * _weight(phi))[:, None]
+        right = np.stack([np.ones_like(t), k2 * t * t, t]) / _weight(psi)
+        d = left @ right
+        np.reciprocal(d, out=d)
+        return d.reshape(shape)
 
     return integrand
 
@@ -142,12 +159,29 @@ def _cdf_values(c, xknots, yknots, order=16):
     so the semicircle weight times the Jacobian ds = 2 cos(phi) dphi is
     exactly 4 cos^2(phi).  Written so, it is one smooth factor per axis,
     computed on that axis alone, and no square root of a rounded 4 - s^2
-    is taken near the edges.
+    is taken near the edges.  The kernel is the rank-3 form of
+    ``_weighted_kernel``; it is symmetric, so equal knots on the two axes
+    integrate one triangle of the lattice.
+
+    The density integrates to 1, so on a lattice that spans the square the
+    cells must sum to 1: off by more than 1e-9 means the panels did not
+    resolve the kernel (near |c| = 1 it peaks sharply on the diagonal), and
+    ``UnresolvedQuadratureError`` is raised, not a wrong grid returned.
+    A lattice that does not span the square is not checked.
     """
     pa = _phi_edges_from_knots(xknots)
     pb = _phi_edges_from_knots(yknots)
     scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
-    cells = tensor_cells(_weighted_kernel(c, scale), pa, pb, order=order)
+    cells = tensor_cells(_weighted_kernel(c, scale), pa, pb, order=order,
+                         symmetric=np.array_equal(pa, pb))
+    half = math.pi / 2.0
+    if (pa[0], pa[-1], pb[0], pb[-1]) == (-half, half, -half, half):
+        mass = float(cells.sum())
+        if not abs(mass - 1.0) <= 1e-9:
+            raise UnresolvedQuadratureError(
+                f"the quadrature does not resolve the kernel at c = {c!r}, "
+                f"resolution {len(xknots)}: the cells hold mass {mass!r}, "
+                "not 1")
     vals = np.zeros((len(xknots), len(yknots)))
     vals[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
     return np.clip(vals, 0.0, 1.0)
@@ -159,7 +193,9 @@ def cdf_grid(c, resolution=101):
     Knots are placed at 2*sin(phi) for uniform phi, which concentrates them
     quadratically near the edges where the divisibility analysis looks; the
     cells are integrated with order-16 panels.  ``resolution`` knots per
-    axis, at least 2 so that the lattice spans the square.
+    axis, at least 2 so that the lattice spans the square.  Raises
+    ``UnresolvedQuadratureError`` when the cells miss the unit mass by more
+    than 1e-9, as they do near |c| = 1 at a coarse resolution.
     """
     cv = _density_c(c)
     if resolution < 2:
@@ -295,7 +331,9 @@ def maxid_verdict(c, resolution=61):
     c = 0 and c = 1 are divisible (independent product, comonotone line);
     c = -1 fails the support-rectangle requirement; for other c a numeric
     witness of the violated monotonicity is located and must clear 1e-8,
-    else the verdict degrades to inconclusive.
+    else the verdict degrades to inconclusive.  For c < 0 it is also
+    inconclusive, with no witness, when the probe grid's quadrature does
+    not resolve the kernel (``UnresolvedQuadratureError``).
     """
     cv = _c_value(c)
     if not -1.0 <= cv <= 1.0:
@@ -317,7 +355,11 @@ def maxid_verdict(c, resolution=61):
             "marginal rectangle",
             GaussianWitness("support-rectangle", -1.0, 1.5, -1.0, lo, 0.0))
     if cv < 0.0:
-        w = _ratio_decrease_witness(cv, resolution)
+        try:
+            w = _ratio_decrease_witness(cv, resolution)
+        except UnresolvedQuadratureError as exc:
+            return GaussianVerdict(cv, "inconclusive",
+                                   f"unresolved quadrature: {exc}")
         if w.low_value - w.high_value > 1e-8:
             return GaussianVerdict(cv, "not-maxid", w.mechanism, w)
         return GaussianVerdict(cv, "inconclusive",

@@ -1,12 +1,14 @@
 """Inputs the Gaussian family refuses: non-finite or out-of-range
-correlations and points, and CDF lattices too small to span the square."""
+correlations and points, CDF lattices too small to span the square, and
+CDF lattices whose quadrature does not resolve the kernel."""
 
 import numpy as np
 import pytest
 
 from bifreemax.cli import main
-from bifreemax.gaussian import (NoDensityError, cdf_grid, comparison_integral,
-                                density, identity_check)
+from bifreemax.gaussian import (NoDensityError, UnresolvedQuadratureError,
+                                cdf_grid, comparison_integral, density,
+                                identity_check, maxid_verdict)
 from bifreemax.quadrature import adaptive_panels
 
 NAN = float("nan")
@@ -112,3 +114,45 @@ class TestDensityResolution:
         assert main(["gaussian", "density", "0.3", "--resolution", "2",
                      "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 5
+
+
+class TestUnresolvedQuadrature:
+    """Near |c| = 1 the density peaks on the diagonal more sharply than the
+    order-16 panels resolve, and the cells no longer sum to 1."""
+
+    @pytest.mark.parametrize("c,resolution", [
+        (-0.99, 61), (-0.999, 61), (-0.999, 101), (0.999, 11), (-0.999, 11)])
+    def test_cdf_grid_refuses(self, c, resolution):
+        with pytest.raises(UnresolvedQuadratureError) as exc:
+            cdf_grid(c, resolution=resolution)
+        assert isinstance(exc.value, ValueError)
+        message = str(exc.value)
+        assert f"c = {c!r}" in message
+        assert f"resolution {resolution}" in message
+        assert "mass" in message
+
+    @pytest.mark.parametrize("c,resolution", [(-0.95, 41), (0.9, 21),
+                                              (-0.9, 161), (0.3, 2)])
+    def test_resolved_lattices_pass(self, c, resolution):
+        F = cdf_grid(c, resolution=resolution)
+        assert F.eval(2.0, 2.0) == pytest.approx(1.0, abs=1e-9)
+        F.validate(tol=1e-9)
+
+    def test_verdict_is_inconclusive(self):
+        v = maxid_verdict(-0.999)
+        assert v.status == "inconclusive"
+        assert v.witness is None
+        assert v.mechanism.startswith("unresolved quadrature: ")
+        assert "resolution 61" in v.mechanism
+
+    def test_verdict_keeps_other_refusals(self):
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            maxid_verdict(-0.5, resolution=1)
+
+    def test_cli(self, tmp_path, capsys):
+        out = tmp_path / "G.json"
+        assert main(["gaussian", "cdf", "-0.999", "--resolution", "101",
+                     "-o", str(out)]) == 4
+        assert "does not resolve the kernel" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["gaussian", "verdict", "-0.999"]) == 2

@@ -1,7 +1,11 @@
 """The blocked tensor rule and the lean Gaussian integrand: agreement with
 the dense one-shot rule, bounded memory, and unchanged verdicts."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifreemax import quadrature
-from bifreemax.gaussian import (_cdf_values, _phi_edges_from_knots, cdf_grid,
+from bifreemax.gaussian import (_cdf_values, _phi_edges_from_knots,
+                                _weighted_kernel, cdf_grid,
                                 kernel_denominator, maxid_verdict)
 from bifreemax.quadrature import panel_nodes, tensor_cells
 
@@ -107,6 +112,89 @@ class TestBlocks:
         np.testing.assert_allclose(tensor_cells(f, xe, ye, order=5),
                                    dense_tensor_cells(f, xe, ye, order=5),
                                    rtol=0, atol=1e-15)
+
+
+def _symmetric_f(x, y):
+    return np.exp(np.sin(3.0 * x) * np.sin(3.0 * y)) + x * y
+
+
+class TestSymmetric:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=9, unique=True),
+           st.integers(1, 6), st.integers(1, 300))
+    def test_matches_full_rule(self, edges, order, block):
+        e = np.sort(edges)
+        n = len(e) - 1
+        values = []
+
+        def counted(x, y):
+            values.append(x.size * y.size)
+            return _symmetric_f(x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_BLOCK", block)
+            whole = tensor_cells(_symmetric_f, e, e, order=order)
+            half = tensor_cells(counted, e, e, order=order, symmetric=True)
+        np.testing.assert_allclose(half, whole, rtol=0, atol=1e-13)
+        assert np.array_equal(half, half.T)
+        # each block of x-panels starting at lo meets the y-panels from lo on
+        step = max(1, block // (order * order * n))
+        assert sum(values) == order ** 2 * sum(
+            min(step, n - lo) * (n - lo) for lo in range(0, n, step))
+        if step == 1:
+            assert sum(values) == order ** 2 * n * (n + 1) // 2
+
+    def test_cdf_lattice_integrates_about_half(self):
+        pa = _phi_edges_from_knots(sine_knots(161))
+        f = _weighted_kernel(0.3, 1.0)
+        values = []
+
+        def counted(x, y):
+            values.append(x.size * y.size)
+            return f(x, y)
+
+        half = tensor_cells(counted, pa, pa, symmetric=True)
+        np.testing.assert_allclose(half, tensor_cells(f, pa, pa),
+                                   rtol=1e-13, atol=0)
+        assert sum(values) <= 0.6 * (160 * 16) ** 2
+
+
+@pytest.mark.parametrize("c", [-0.95, -1e-8, 1e-8, 0.3, 0.95])
+def test_rank3_integrand_matches_kernel_denominator(c):
+    rng = np.random.default_rng(14)
+    phi = rng.uniform(-1.57, 1.57, (30, 16, 1, 1))
+    psi = rng.uniform(-1.57, 1.57, (1, 1, 20, 16))
+    scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
+    got = _weighted_kernel(c, scale)(phi, psi)
+    s, t = 2.0 * np.sin(phi), 2.0 * np.sin(psi)
+    d = kernel_denominator(c, s, t)
+    ref = scale * 4.0 * np.cos(phi) ** 2 * 4.0 * np.cos(psi) ** 2 / d
+    assert got.shape == (30, 16, 20, 16)
+    # D_c is a sum of terms that cancel near the corners (s, t) = (2, -2)
+    # for c < 0 and (2, 2) for c > 0, where both forms lose the same digits:
+    # the bound is 1e-13 relative times the condition number of that sum
+    cond = ((1.0 - c * c) ** 2 + np.abs(c * (1.0 + c * c) * s * t)
+            + c * c * (s * s + t * t)) / d
+    assert np.all(np.abs(got - ref) <= 1e-13 * cond * ref)
+    well = cond <= 10.0
+    np.testing.assert_allclose(got[well], ref[well], rtol=1e-12, atol=0)
+
+
+def test_cdf_artifact_independent_of_blas_threads(tmp_path):
+    # the kernel is a BLAS matrix product: its thread count must not move bytes
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"G{threads}.json"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "bifreemax.cli", "gaussian", "cdf", "0.4",
+             "--resolution", "161", "-o", str(out)],
+            capture_output=True, text=True, env=env, check=False)
+        assert run.returncode == 0, run.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_cdf_grid_peak_memory():

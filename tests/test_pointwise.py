@@ -25,8 +25,9 @@ PICKANDS = {
 }
 
 
-# laws are queried on [2.5, 3], where every one of them is positive, the
-# others on [0.6, 1]
+# laws are queried on [2.5, 3], where eval and q_eval are defined for every
+# one of them (power-grid-3 is 0 at (2.5, 2.5), and q_eval reads 1 there),
+# the others on [0.6, 1]
 LAW, UNIT = (2.5, 3.0), (0.6, 1.0)
 # the ratio transforms raise where F = 0, and power-grid-3 is 0 at (2.5, 2.5);
 # every law is positive on [2.75, 3]

@@ -94,7 +94,8 @@ def free_maxconv(F: UnivariateDF, G: UnivariateDF) -> UnivariateDF:
 
 def free_power(F: UnivariateDF, t) -> UnivariateDF:
     """t-fold free max-convolution power (t*F - (t-1))_+, 0 below a finite
-    lower bound L; for t < 1 the canonical representative on [L, inf)."""
+    lower bound L; for t < 1 the canonical representative on [L, inf).  For
+    t > 1 a grid input gives the step DF of that form on its knots."""
     t = float(t)
     if t < 0:
         raise ValueError("power must be nonnegative")
@@ -102,11 +103,6 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
         return ones_df()
     if t == 1.0:
         return F
-    if isinstance(F, GridUDF) and t >= 1.0:
-        vals = np.maximum(t * F.values - (t - 1.0), 0.0)
-        sat = F.saturation
-        return GridUDF(F.knots, np.clip(vals, 0.0, 1.0),
-                       saturation=sat if np.isfinite(sat) else None)
     if t > 1.0:
         lower = F.quantile_exceed(1.0 - 1.0 / t)
     else:
@@ -117,8 +113,13 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
         if not np.isfinite(lower):
             raise ValueError("fractional powers need support bounded from below")
     # FuncUDF's clip to [0, 1] is the (.)_+
-    return FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
-                   kind="free-power")
+    H = FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
+                kind="free-power")
+    if isinstance(F, GridUDF) and t > 1.0:
+        sat = H.saturation
+        return GridUDF(F.knots, H.eval(F.knots),
+                       saturation=sat if np.isfinite(sat) else None)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +371,10 @@ def _marginal_from_tau(tau: DiscreteMeasure, axis, lower):
 
 
 class MeasureBDF(RatioBDF):
-    """DF generated by an exponent measure: F = F1*F2/(1 - tau((x, inf)))
-    above the lower corner, 0 elsewhere.  Always bi-freely max-i.d., and
-    powered exactly by scaling the measure."""
+    """The DF F1*F2/(1 - tau((x, inf))) of an exponent measure above the
+    corner ``lower``, 0 elsewhere, with marginal tails tau_j((x, inf)); a
+    ValueError where one exceeds 1 above ``lower``.  Always bi-freely
+    max-i.d., and powered exactly by scaling the measure."""
 
     kind = "exponent-measure"
 
@@ -398,13 +400,7 @@ class MeasureBDF(RatioBDF):
         return MeasureBDF(scaled, lower)
 
 
-def from_exponent_measure(tau: DiscreteMeasure, lower) -> MeasureBDF:
-    """Unique DF with marginal tails tau_j((x, inf)) and joint values
-    F1*F2/(1 - tau-tail) above ``lower``.
-
-    Raises ValueError when a marginal tail exceeds 1 above ``lower``.
-    """
-    return MeasureBDF(tau, lower)
+from_exponent_measure = MeasureBDF
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +513,9 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
 
 
 class ExpTailBDF(RatioBDF):
-    """exp(-t * T_F) on the support rectangle of a max-i.d. base DF: its
-    marginals are exp(-t*(1 - F_j)) and its ratio exp(t*(Q_F - 1))."""
+    """Classically max-i.d. DF exp(-t * T_F) on the support rectangle of a
+    max-i.d. base DF with finite lower bounds, 0 elsewhere: its marginals
+    are exp(-t*(1 - F_j)) and its ratio exp(t*(Q_F - 1)); t must be > 0."""
 
     kind = "exp-tail"
 
@@ -543,6 +540,4 @@ class ExpTailBDF(RatioBDF):
         return np.exp(self.t * (self.base._q(x1, x2) - 1.0))
 
 
-def maxid_from_tail_functional(F: BivariateDF, t) -> BivariateDF:
-    """Classically max-i.d. DF exp(-t * T_F) on [L, inf), 0 elsewhere."""
-    return ExpTailBDF(F, t)
+maxid_from_tail_functional = ExpTailBDF

@@ -222,59 +222,51 @@ class LomaxCopula(_FFormCopula):
 
 
 class PickandsFn:
-    """Pickands dependence function on [0, 1]."""
+    """Pickands dependence function on [0, 1] given by a vectorized ``fn``;
+    ``form`` and ``params`` name its family (copulas built on it inherit the
+    ``params``), and ``smooth`` says that ``fn`` has no kinks."""
 
-    form = "abstract"
-    smooth = False
-
-    def __init__(self, params=None):
+    def __init__(self, fn, form="func", params=None, smooth=False):
+        self._fn = fn
+        self.form = form
         self.params = dict(params or {})
-
-    def _eval(self, t):
-        raise NotImplementedError
+        self.smooth = smooth
 
     def eval(self, t):
-        return _pointwise(self._eval, t,
+        return _pointwise(self._fn, t,
                           unit="Pickands argument must lie in [0, 1]")
 
     def __call__(self, t):
         return self.eval(t)
 
 
-class FuncPickands(PickandsFn):
-    def __init__(self, fn, form="func", params=None, smooth=False):
-        super().__init__(params)
-        self._fn = fn
-        self.form = form
-        self.smooth = smooth
-
-    def _eval(self, t):
-        return self._fn(t)
+# a second name of the class, which callers import
+FuncPickands = PickandsFn
 
 
 def pickands_one():
     """A == 1; generates the independence copula."""
-    return FuncPickands(lambda t: np.ones_like(t), form="one", smooth=True)
+    return PickandsFn(lambda t: np.ones_like(t), form="one", smooth=True)
 
 
 def pickands_lower():
     """A(t) = max(t, 1-t); generates the comonotone copula."""
-    return FuncPickands(lambda t: np.maximum(t, 1.0 - t), form="lower",
-                        smooth=False)
+    return PickandsFn(lambda t: np.maximum(t, 1.0 - t), form="lower",
+                      smooth=False)
 
 
 def gumbel_mixed_pickands(theta):
     if not 0.0 <= theta <= 1.0:
         raise ValueError("Gumbel mixed model requires theta in [0, 1]")
-    return FuncPickands(lambda t: theta * t * t - theta * t + 1.0,
-                        form="gumbel-mixed", params={"theta": float(theta)},
-                        smooth=True)
+    return PickandsFn(lambda t: theta * t * t - theta * t + 1.0,
+                      form="gumbel-mixed", params={"theta": float(theta)},
+                      smooth=True)
 
 
 def logistic_pickands(m):
     if m < 1.0:
         raise ValueError("logistic model requires m >= 1")
-    return FuncPickands(
+    return PickandsFn(
         lambda t: np.power(np.power(t, m) + np.power(1.0 - t, m), 1.0 / m),
         form="logistic", params={"m": float(m)}, smooth=True)
 
@@ -282,7 +274,7 @@ def logistic_pickands(m):
 def marshall_olkin_pickands(theta, phi):
     if not (0.0 <= theta <= 1.0 and 0.0 <= phi <= 1.0):
         raise ValueError("Marshall-Olkin model requires theta, phi in [0, 1]")
-    return FuncPickands(
+    return PickandsFn(
         lambda t: 1.0 - np.minimum(theta * t, phi * (1.0 - t)),
         form="marshall-olkin", params={"theta": float(theta), "phi": float(phi)},
         smooth=False)
@@ -306,11 +298,12 @@ def pickands_from_measure(measure):
         ta = t[..., None]
         return (np.maximum(ta * pts[:, 0], (1.0 - ta) * pts[:, 1]) * ms).sum(axis=-1)
 
-    return FuncPickands(fn, form="spectral", params={"atoms": pts.shape[0]})
+    return PickandsFn(fn, form="spectral", params={"atoms": pts.shape[0]})
 
 
 class EVCopula(Copula):
-    """Extreme-value copula exp[log(uv) * A(log u / log(uv))]."""
+    """Extreme-value copula exp[log(uv) * A(log u / log(uv))] of a Pickands
+    function A."""
 
     family = "ev-pickands"
 
@@ -331,8 +324,8 @@ class EVCopula(Copula):
 
 
 class BiFreeCopula(_FFormCopula):
-    """Ratio copula uv / f_A(u, v) generated by a Pickands function; lies in
-    the domain of attraction of the matching extreme-value copula."""
+    """Ratio copula uv / f_A(u, v) of a Pickands function A; in the domain of
+    attraction of the extreme-value copula of A."""
 
     family = "bifree-pickands"
 
@@ -357,7 +350,6 @@ class GumbelMixedCopula(BiFreeCopula):
 
     def __init__(self, theta):
         super().__init__(gumbel_mixed_pickands(theta))
-        self.theta = float(theta)
 
 
 class LogisticCopula(BiFreeCopula):
@@ -367,7 +359,6 @@ class LogisticCopula(BiFreeCopula):
 
     def __init__(self, m):
         super().__init__(logistic_pickands(m))
-        self.m = float(m)
 
 
 class MarshallOlkinCopula(BiFreeCopula):
@@ -378,12 +369,11 @@ class MarshallOlkinCopula(BiFreeCopula):
 
     def __init__(self, theta, phi):
         super().__init__(marshall_olkin_pickands(theta, phi))
-        self.theta = float(theta)
-        self.phi = float(phi)
 
 
 class SurvivalCopula(Copula):
-    """Survival copula C(1-u, 1-v) + u + v - 1 of a base copula."""
+    """Survival copula C(1-u, 1-v) + u + v - 1 of a base copula; an
+    involution up to pointwise equality."""
 
     family = "survival"
 
@@ -446,26 +436,17 @@ class PowerTransformCopula(_FFormCopula):
         return np.power(self.base.f_eval(np.power(u, r), np.power(v, r)), self.p)
 
 
-def survival_copula(C: Copula) -> Copula:
-    """Survival copula of ``C``; an involution up to pointwise equality."""
-    return SurvivalCopula(C)
-
-
-def ev_copula(A: PickandsFn) -> Copula:
-    """Extreme-value copula generated by the dependence function ``A``."""
-    return EVCopula(A)
-
-
-def bifree_copula(A: PickandsFn) -> Copula:
-    """Ratio copula uv / f_A generated by the dependence function ``A``."""
-    return BiFreeCopula(A)
-
-
 def power_transform(C: Copula, p) -> Copula:
     """Stable power uv / f^p(u^(1/p), v^(1/p)) of a ratio-form copula."""
     if p == 1.0:
         return C
     return PowerTransformCopula(C, p)
+
+
+# constructor spellings of the classes
+survival_copula = SurvivalCopula
+ev_copula = EVCopula
+bifree_copula = BiFreeCopula
 
 
 def doa_iterate(C: Copula, n, probe=None):

@@ -163,8 +163,10 @@ class UnivariateDF:
     def quantile_exceed(self, c):
         """inf{x : F(x) > c} for c in [0, 1), found by bisection.
 
-        Exact for grid-backed DFs.  An infinite saturation point is bracketed
-        by doubling outward from the lower bracket.  The bisection is
+        Exact for grid-backed DFs.  An infinite lower bound is bracketed by
+        doubling from -1, a call a step; an infinite saturation point by the
+        ladder h -> 2h + 1 from the lower bracket up to 1e12, evaluated with
+        both support-edge checks in one ``eval`` call.  The bisection is
         replayed: each ``eval`` call takes the midpoints of the next
         ``_LOOKAHEAD`` levels of the bisection tree in one sorted ladder,
         computed as the step-by-step bisection computes them, and the walk
@@ -181,19 +183,18 @@ class UnivariateDF:
                 if lo < -1e12:
                     raise ValueError("no finite lower bracket for quantile search")
         hi = self.saturation
-        if not np.isfinite(hi):
-            hi = max(abs(lo), 1.0)
-            while self.eval(hi) <= c:
-                hi = 2.0 * hi + 1.0
-                if hi > 1e12:
-                    raise ValueError("no finite upper bracket for quantile search")
-        if self.eval(lo) > c:
+        his = [] if np.isfinite(hi) else [max(abs(lo), 1.0)]
+        while his and 2.0 * his[-1] + 1.0 <= 1e12:
+            his.append(2.0 * his[-1] + 1.0)
+        eps = 1e-12 * max(1.0, abs(lo))
+        above = np.asarray(self.eval(np.array([lo, lo + eps, *his]))) > c
+        if his:
+            if not above[2:].any():
+                raise ValueError("no finite upper bracket for quantile search")
+            hi = his[int(np.argmax(above[2:]))]
+        # snap to a support edge when F is positive at or right above it
+        if above[0] or above[1]:
             return lo
-        # snap to a declared support edge when F is positive right above it
-        if np.isfinite(lo):
-            eps = 1e-12 * max(1.0, abs(lo))
-            if self.eval(lo + eps) > c:
-                return lo
         steps = 0
         while True:
             # the bisection tree as one sorted ladder: each level puts

@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# below this |xi|, xi*z loses digits to underflow and the GEV formulas equal
+# their Gumbel limit to rounding wherever F is not 0 or 1
+_GUMBEL_XI = 1e-300
+
+
 @dataclass(frozen=True)
 class GEVParams:
     """Shape/location/scale of a generalized extreme-value marginal."""
@@ -61,36 +66,23 @@ class GEVParams:
 
 
 def gev_df(*, xi, m=0.0, sigma=1.0) -> UnivariateDF:
-    """Generalized extreme-value DF.
-
-    ``exp[-(1 + xi*(x-m)/sigma)^(-1/xi)]`` on ``1 + xi*(x-m)/sigma > 0``
-    (Gumbel limit form at xi = 0), extended by 0 below a Frechet lower
-    endpoint and by 1 above a Weibull upper endpoint.
+    """Generalized extreme-value DF exp(-exp(-s)) with z = (x - m)/sigma and
+    s = log1p(xi*z)/xi, which tends to z as xi -> 0 (the Gumbel type; s = z
+    for |xi| < 1e-300).  Where xi*z <= -1 the value is 0 at and below a
+    Frechet lower endpoint and 1 at and above a Weibull upper endpoint.
     """
     params = GEVParams(float(xi), float(m), float(sigma))
     xi, m, sigma = params.xi, params.m, params.sigma
-    if xi == 0.0:
-        def fn(x):
-            return np.exp(-np.exp(-(x - m) / sigma))
-        lower, sat = -np.inf, np.inf
-    elif xi > 0.0:
-        lower = m - sigma / xi
-        sat = np.inf
+    lower = m - sigma / xi if xi > 0.0 else -np.inf
+    sat = m + sigma / abs(xi) if xi < 0.0 else np.inf
 
-        def fn(x):
-            w = 1.0 + xi * (x - m) / sigma
-            wpos = np.maximum(w, 1e-300)
-            with np.errstate(over="ignore"):
-                return np.where(w > 0.0, np.exp(-np.power(wpos, -1.0 / xi)), 0.0)
-    else:
-        lower = -np.inf
-        sat = m + sigma / abs(xi)
-
-        def fn(x):
-            w = np.maximum(1.0 + xi * (x - m) / sigma, 0.0)
-            # far below the mode w**(-1/xi) overflows; F = exp(-inf) = 0
-            with np.errstate(over="ignore"):
-                return np.exp(-np.power(w, -1.0 / xi))
+    def fn(x):
+        # z overflows and log1p is -inf or NaN only where F is 0 or 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = (x - m) / sigma
+            s = z if abs(xi) < _GUMBEL_XI else np.log1p(xi * z) / xi
+            return np.where(xi * z <= -1.0, float(xi < 0.0),
+                            np.exp(-np.exp(-s)))
 
     return FuncUDF(fn, support_lower=lower, saturation=sat, kind="gev",
                    params={"xi": xi, "m": m, "sigma": sigma})
@@ -150,6 +142,9 @@ class NormalizingSequence:
 
 
 def _axis_normalizers(F: UnivariateDF):
+    """(a_n, b_n) of one marginal family.  The GEV shift is
+    b_n = (n**xi - 1)*(sigma/xi - m), with n**xi - 1 taken as
+    expm1(xi*log n) so that b_n tends to sigma*log n as xi -> 0."""
     kind, p = F.kind, F.params if hasattr(F, "params") else {}
     if kind == "exponential":
         s = p.get("scale", 1.0)
@@ -163,9 +158,10 @@ def _axis_normalizers(F: UnivariateDF):
                (lambda n: upper * (1.0 - n ** (-1.0 / alpha)))
     if kind == "gev":
         xi, m, s = p["xi"], p["m"], p["sigma"]
-        if xi == 0.0:
+        if abs(xi) < _GUMBEL_XI:
             return (lambda n: 1.0), (lambda n: s * math.log(n))
-        return (lambda n: n ** xi), (lambda n: (n ** xi - 1.0) * (s / xi - m))
+        return (lambda n: n ** xi), \
+               (lambda n: math.expm1(xi * math.log(n)) * (s / xi - m))
     if kind == "free-of-classical":
         return _axis_normalizers(p["base"])
     raise ValueError(f"no default normalizers for marginal kind {kind!r}")

@@ -69,6 +69,15 @@ class TestFreeMaxConv:
         assert_allclose(h.knots, [0.0, 0.5, 1.0, 2.0])
         assert h.eval(1.0) == pytest.approx(0.7)  # 1.0 + 0.7 - 1
 
+    def test_grid_power_is_the_closed_form_on_the_knots(self):
+        # 1.02 * (1 - 1/1.02) - 0.02 rounds to 2.4e-17, but the closed form
+        # is 0 below its lower bound, where F first exceeds 1 - 1/t: knot 2
+        F = GridUDF([0.0, 1.0, 2.0], [0.01, 1.0 - 1.0 / 1.02, 1.0])
+        P = free_power(F, 1.02)
+        assert isinstance(P, GridUDF)
+        assert P.values[1] == 0.0
+        assert P.support_lower == 2.0
+
 
 class TestBifreeMaxConv:
     def test_identity_element(self):

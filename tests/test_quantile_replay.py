@@ -87,6 +87,9 @@ def _families():
 
 
 FAMILIES = _families()
+# a tiny nonzero shape, whose formula must hold its Gumbel limit
+FAMILIES["gev-tiny"] = gev_df(xi=1e-12, m=0.5, sigma=2.0)
+FAMILIES["free(gev-tiny)"] = free_from_classical(FAMILIES["gev-tiny"])
 # 1 - 1/n for the convolution powers the library takes, n up to 1024
 LADDER = sorted({1.0 - 1.0 / n for n in
                  list(range(1, 33)) + [2 ** k for k in range(6, 11)]

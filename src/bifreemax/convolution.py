@@ -47,6 +47,7 @@ from .distributions import (
     _worst,
     bdf_from_law,
     law_from_bdf,
+    materialize,
     ones_df,
     sup_distance,
 )
@@ -92,12 +93,22 @@ def free_maxconv(F: UnivariateDF, G: UnivariateDF) -> UnivariateDF:
     return H
 
 
+def _declared_lower(F: UnivariateDF, refusal):
+    """inf{F > 0} where F declares a finite lower bound, else
+    ValueError(refusal): as in is_bifree_maxid, probing cannot tell a lower
+    endpoint from an underflowing tail."""
+    lower = F.quantile_exceed(0.0) if np.isfinite(F.support_lower) else np.inf
+    if not np.isfinite(lower):
+        raise ValueError(refusal)
+    return lower
+
+
 def free_power(F: UnivariateDF, t) -> UnivariateDF:
     """t-fold free max-convolution power (t*F - (t-1))_+, 0 below a finite
     lower bound L; for t < 1 the canonical representative on [L, inf).  For
     t > 1 a grid input gives the step DF of that form on its knots."""
     t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("power must be nonnegative")
     if t == 0.0:
         return ones_df()
@@ -106,12 +117,8 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
     if t > 1.0:
         lower = F.quantile_exceed(1.0 - 1.0 / t)
     else:
-        # trust only a declared bound, as is_bifree_maxid does: probing
-        # cannot tell a lower endpoint from an underflowing tail
-        lower = F.quantile_exceed(0.0) if np.isfinite(F.support_lower) \
-            else np.inf
-        if not np.isfinite(lower):
-            raise ValueError("fractional powers need support bounded from below")
+        lower = _declared_lower(
+            F, "fractional powers need support bounded from below")
     # FuncUDF's clip to [0, 1] is the (.)_+
     H = FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
                 kind="free-power")
@@ -164,7 +171,6 @@ def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
     resampling occurs); otherwise a lazy closed form is returned.
     """
     if isinstance(F, GridBDF) and isinstance(G, GridBDF):
-        lazy = ConvolvedBDF(F, G)
         xk = np.union1d(F.xknots, G.xknots)
         yk = np.union1d(F.yknots, G.yknots)
         # marginals may carry knots outside the surface lattices
@@ -174,8 +180,7 @@ def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
         for m in (F.marginal2, G.marginal2):
             if isinstance(m, GridUDF):
                 yk = np.union1d(yk, m.knots)
-        vals = lazy._eval(xk[:, None], yk[None, :])
-        return GridBDF(lazy.marginal1, lazy.marginal2, xk, yk, vals)
+        return materialize(ConvolvedBDF(F, G), xk, yk)
     return ConvolvedBDF(F, G)
 
 
@@ -211,7 +216,7 @@ def bifree_power(F: BivariateDF, t) -> BivariateDF:
     scaling their measure.
     """
     t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("power must be nonnegative")
     if t == 0.0:
         return CoupledBDF(IndependenceCopula(), ones_df(), ones_df())
@@ -259,10 +264,6 @@ def tail_functional(F: BivariateDF, x1, x2):
 # the divisibility decision
 # ---------------------------------------------------------------------------
 
-# knots per axis of the default probe lattice of a non-grid DF
-_PROBE_KNOTS = 81
-
-
 @dataclass(frozen=True)
 class MaxIdWitness:
     check: str
@@ -304,7 +305,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
         if not np.isfinite(m.support_lower):
             return MaxIdVerdict("no",
                                 f"marginal {name} has support unbounded below")
-    xs, ys = _probe_grid(F, grid, _PROBE_KNOTS)
+    xs, ys = _probe_grid(F, grid)
 
     m1 = np.asarray(F.marginal1.eval(xs))
     m2 = np.asarray(F.marginal2.eval(ys))
@@ -388,16 +389,15 @@ class MeasureBDF(RatioBDF):
         return 1.0 - np.asarray(self.tau.tail(x1, x2))
 
     def power(self, t):
+        """The measure t*tau above ``lower`` for t <= 1, and for t > 1 above
+        L_j = inf{F_j > 1 - 1/t}, which is at least ``lower_j``."""
         t = float(t)
-        if t <= 0:
+        if not t > 0:
             raise ValueError("power must be positive")
-        scaled = self.tau.scaled(t)
-        if t <= 1.0:
-            return MeasureBDF(scaled, self.lower)
-        c = 1.0 - 1.0 / t
-        lower = (self.marginal1.quantile_exceed(c),
-                 self.marginal2.quantile_exceed(c))
-        return MeasureBDF(scaled, lower)
+        lower = self.lower if t <= 1.0 else tuple(
+            m.quantile_exceed(1.0 - 1.0 / t)
+            for m in (self.marginal1, self.marginal2))
+        return MeasureBDF(self.tau.scaled(t), lower)
 
 
 from_exponent_measure = MeasureBDF
@@ -434,11 +434,12 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     exponent-measure limit.
 
     ``nu`` is a planar probability law given as a :class:`DiscreteMeasure`
-    (or a grid DF, converted to its atomic law).  Returns the limit DF built
-    from ``tau = lam * nu`` with lower corner
-    ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` and a report of
-    sup-distances along the ``ns`` ladder, probed on the atoms' coordinates,
-    their midpoints and points below and beyond them.
+    (or a grid DF, converted to its atomic law).  Returns the limit DF
+    ``MeasureBDF(nu, p).power(lam)``, built from ``tau = lam * nu`` with
+    lower corner ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` for lam > 1 and
+    ``p`` otherwise, and a report of sup-distances along the ``ns`` ladder,
+    probed on the atoms' coordinates, their midpoints and points below and
+    beyond them.
     """
     if lam <= 0:
         raise ValueError("rate must be positive")
@@ -455,20 +456,11 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     if any(n < lam for n in ns):
         raise ValueError("every n must satisfy n >= lam")
 
-    lower = []
-    for axis in range(2):
-        lj = p[axis]
-        if lam > 1.0:
-            coords = np.unique(nu.points[:, axis])
-            mvals = 1.0 - np.asarray(nu.marginal_tail(axis, coords))
-            exceed = coords[mvals > 1.0 - 1.0 / lam]
-            lj = max(lj, float(exceed[0]) if exceed.size else coords[-1])
-        lower.append(lj)
-    limit = MeasureBDF(nu.scaled(lam), tuple(lower))
+    limit = MeasureBDF(nu, p).power(lam)
 
     probe = []
     for a in range(2):
-        c = np.unique(np.concatenate([nu.points[:, a], [p[a], lower[a]]]))
+        c = np.unique(np.concatenate([nu.points[:, a], [p[a], limit.lower[a]]]))
         mids = 0.5 * (c[:-1] + c[1:])
         probe.append(np.unique(np.concatenate(
             [c, mids, [c[0] - 0.5, c[-1] + 0.5, c[-1] + 1.5]])))
@@ -498,7 +490,7 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
     ns = tuple(ns)
     if not ns or not all(n > 0 for n in ns):
         raise ValueError(f"ns must hold positive root orders, got {ns}")
-    xs, ys = _probe_grid(F, grid, _PROBE_KNOTS)
+    xs, ys = _probe_grid(F, grid)
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
     for n in ns:
         vol = _cell_volumes(np.power(vals, 1.0 / float(n)))
@@ -520,16 +512,13 @@ class ExpTailBDF(RatioBDF):
     kind = "exp-tail"
 
     def __init__(self, base, t):
-        if t <= 0:
+        if not t > 0:
             raise ValueError("t must be positive")
         self.base = base
         self.t = float(t)
 
         def marginal(m):
-            lower = m.quantile_exceed(0.0) if np.isfinite(m.support_lower) \
-                else np.inf
-            if not np.isfinite(lower):
-                raise ValueError("base DF must have support bounded below")
+            lower = _declared_lower(m, "base DF must have support bounded below")
             # positive at F_j = 0, so the finite lower bound cuts it to 0
             return FuncUDF(lambda x: np.exp(-self.t * (1.0 - m.eval(x))),
                            lower, m.saturation, kind="exp-tail")

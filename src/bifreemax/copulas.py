@@ -27,6 +27,7 @@ from .distributions import (
     _cell_volumes,
     _pointwise,
     _ratio,
+    _require_finite,
     _worst,
 )
 
@@ -223,12 +224,11 @@ class LomaxCopula(_FFormCopula):
 
 class PickandsFn:
     """Pickands dependence function on [0, 1] given by a vectorized ``fn``;
-    ``form`` and ``params`` name its family (copulas built on it inherit the
-    ``params``), and ``smooth`` says that ``fn`` has no kinks."""
+    ``params`` are its family's parameters (copulas built on it inherit
+    them), and ``smooth`` says that ``fn`` has no kinks."""
 
-    def __init__(self, fn, form="func", params=None, smooth=False):
+    def __init__(self, fn, params=None, smooth=False):
         self._fn = fn
-        self.form = form
         self.params = dict(params or {})
         self.smooth = smooth
 
@@ -246,21 +246,19 @@ FuncPickands = PickandsFn
 
 def pickands_one():
     """A == 1; generates the independence copula."""
-    return PickandsFn(lambda t: np.ones_like(t), form="one", smooth=True)
+    return PickandsFn(lambda t: np.ones_like(t), smooth=True)
 
 
 def pickands_lower():
     """A(t) = max(t, 1-t); generates the comonotone copula."""
-    return PickandsFn(lambda t: np.maximum(t, 1.0 - t), form="lower",
-                      smooth=False)
+    return PickandsFn(lambda t: np.maximum(t, 1.0 - t), smooth=False)
 
 
 def gumbel_mixed_pickands(theta):
     if not 0.0 <= theta <= 1.0:
         raise ValueError("Gumbel mixed model requires theta in [0, 1]")
     return PickandsFn(lambda t: theta * t * t - theta * t + 1.0,
-                      form="gumbel-mixed", params={"theta": float(theta)},
-                      smooth=True)
+                      params={"theta": float(theta)}, smooth=True)
 
 
 def logistic_pickands(m):
@@ -268,7 +266,7 @@ def logistic_pickands(m):
         raise ValueError("logistic model requires m >= 1")
     return PickandsFn(
         lambda t: np.power(np.power(t, m) + np.power(1.0 - t, m), 1.0 / m),
-        form="logistic", params={"m": float(m)}, smooth=True)
+        params={"m": float(m)}, smooth=True)
 
 
 def marshall_olkin_pickands(theta, phi):
@@ -276,8 +274,7 @@ def marshall_olkin_pickands(theta, phi):
         raise ValueError("Marshall-Olkin model requires theta, phi in [0, 1]")
     return PickandsFn(
         lambda t: 1.0 - np.minimum(theta * t, phi * (1.0 - t)),
-        form="marshall-olkin", params={"theta": float(theta), "phi": float(phi)},
-        smooth=False)
+        params={"theta": float(theta), "phi": float(phi)}, smooth=False)
 
 
 def pickands_from_measure(measure):
@@ -298,7 +295,7 @@ def pickands_from_measure(measure):
         ta = t[..., None]
         return (np.maximum(ta * pts[:, 0], (1.0 - ta) * pts[:, 1]) * ms).sum(axis=-1)
 
-    return PickandsFn(fn, form="spectral", params={"atoms": pts.shape[0]})
+    return PickandsFn(fn, params={"atoms": pts.shape[0]})
 
 
 class EVCopula(Copula):
@@ -398,6 +395,8 @@ class GridCopula(Copula):
         self.uknots = _as_float_array(uknots)
         self.vknots = _as_float_array(vknots)
         self.values = _as_float_array(values)
+        _require_finite("knots and values must be finite",
+                        self.uknots, self.vknots, self.values)
         for k in (self.uknots, self.vknots):
             if k[0] != 0.0 or k[-1] != 1.0 or np.any(np.diff(k) <= 0):
                 raise ValueError("copula knots must increase strictly from 0 to 1")
@@ -449,16 +448,15 @@ ev_copula = EVCopula
 bifree_copula = BiFreeCopula
 
 
-def doa_iterate(C: Copula, n, probe=None):
-    """Values of C^n(u^(1/n), v^(1/n)) on a product probe grid.
+def doa_iterate(C: Copula, n, probe):
+    """Values of C^n(u^(1/n), v^(1/n)) on the product probe grid
+    ``probe = (us, vs)``.
 
     The iterates of a copula in a max-domain of attraction converge to the
     attracting extreme-value copula; callers compare against a candidate.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if probe is None:
-        probe = (np.linspace(0, 1, 101), np.linspace(0, 1, 101))
     us, vs = (_as_float_array(probe[0]), _as_float_array(probe[1]))
     root = 1.0 / float(n)
     c = C.eval(np.power(us[:, None], root), np.power(vs[None, :], root))

@@ -581,7 +581,7 @@ class DiscreteMeasure:
         return _pointwise(lambda *q: self._mass_above((axis,), q), x)
 
     def scaled(self, t):
-        if t < 0:
+        if not t >= 0:
             raise ValueError("scale factor must be nonnegative")
         return DiscreteMeasure(self.points, t * self.masses)
 
@@ -626,17 +626,19 @@ class QuasiMonotoneResult:
         return self.ok
 
 
-def _probe_grid(F, grid, resolution=None):
+# knots per axis of the default probe lattice of a non-grid DF
+_PROBE_KNOTS = 81
+
+
+def _probe_grid(F, grid):
     """The probe lattice of a grid decision: ``grid``, else the knots of a
-    grid DF, else ``resolution`` knots per axis placed where the mass sits."""
+    grid DF, else the default lattice of ``_PROBE_KNOTS`` knots per axis,
+    spaced evenly in x: dense from the lower bound to the 0.9 quantile, then
+    a sparse tail out to saturation or past the 0.999 quantile."""
     if grid is not None:
         return _as_float_array(grid[0]), _as_float_array(grid[1])
     if isinstance(F, GridBDF):
         return F.xknots, F.yknots
-    if resolution is None:
-        raise ValueError("a probe grid (xknots, yknots) is required for non-grid DFs")
-    # dense up to the 0.9 quantile, then a sparse tail out to saturation or
-    # past the 0.999 quantile
     knots = []
     for m in (F.marginal1, F.marginal2):
         lo = m.quantile_exceed(0.0)
@@ -649,8 +651,8 @@ def _probe_grid(F, grid, resolution=None):
             mid = lo + 0.5 * max(hi - lo, 1.0)
         if hi <= mid:
             hi = mid + max(1.0, mid - lo)
-        head = np.linspace(lo, mid, resolution - resolution // 4)
-        tail = np.linspace(mid, hi, resolution // 4 + 1)[1:]
+        head = np.linspace(lo, mid, _PROBE_KNOTS - _PROBE_KNOTS // 4)
+        tail = np.linspace(mid, hi, _PROBE_KNOTS // 4 + 1)[1:]
         knots.append(np.concatenate([head, tail]))
     return knots[0], knots[1]
 
@@ -675,7 +677,8 @@ def _worst(blocks):
 
 
 def is_quasi_monotone(F, tol=0.0, grid=None):
-    """Check all adjacent-cell volumes on a grid are >= -tol.
+    """Check all adjacent-cell volumes on a grid are >= -tol: ``grid``, else
+    a grid DF's knots, else the default lattice of ``_probe_grid``.
 
     Returns a :class:`QuasiMonotoneResult`; on failure ``worst_cell`` holds
     the lower-left corner of the most negative cell.

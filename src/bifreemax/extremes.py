@@ -183,6 +183,13 @@ def default_normalizers(m1: UnivariateDF, m2: UnivariateDF) -> NormalizingSequen
 # stability and attraction experiments
 # ---------------------------------------------------------------------------
 
+def _normalized(seq: NormalizingSequence, ns, X, Y):
+    """``(n, a_n X + b_n, c_n Y + d_n)`` for each n of the ladder."""
+    for n in map(int, ns):
+        an, bn, cn, dn = seq(n)
+        yield n, an * X + bn, cn * Y + dn
+
+
 @dataclass(frozen=True)
 class MaxStabilityReport:
     rows: tuple  # (n, sup_distance)
@@ -198,15 +205,12 @@ def check_max_stable(F: BivariateDF, seq: NormalizingSequence, ns,
 
     Max-stable inputs give distances at rounding level for every n.
     """
-    xs, ys = _as_float_array(probe[0]), _as_float_array(probe[1])
-    X, Y = grid_probe(xs, ys)
+    X, Y = grid_probe(*probe)
     base = np.asarray(F.eval(X, Y))
     rows = []
-    for n in ns:
-        an, bn, cn, dn = seq(int(n))
-        powered = bifree_power(F, int(n))
-        vals = np.asarray(powered.eval(an * X + bn, cn * Y + dn))
-        rows.append((int(n), float(np.max(np.abs(vals - base)))))
+    for n, x, y in _normalized(seq, ns, X, Y):
+        vals = np.asarray(bifree_power(F, n).eval(x, y))
+        rows.append((n, float(np.max(np.abs(vals - base)))))
     return MaxStabilityReport(tuple(rows))
 
 
@@ -228,20 +232,16 @@ def doa_experiment(H: BivariateDF, seq: NormalizingSequence,
     bi-free power of ``H`` from the bi-free target.  For ``H`` in the shared
     domain of attraction both shrink together.
     """
-    xs, ys = _as_float_array(probe[0]), _as_float_array(probe[1])
-    X, Y = grid_probe(xs, ys)
+    X, Y = grid_probe(*probe)
     g = np.asarray(classical_target.eval(X, Y))
     pos = g > 0.0
     logg = np.log(np.where(pos, g, 1.0))
     fvals = np.asarray(bifree_target.eval(X, Y))
     rows = []
-    for n in ns:
-        n = int(n)
-        an, bn, cn, dn = seq(n)
-        hdist = np.asarray(H.eval(an * X + bn, cn * Y + dn))
+    for n, x, y in _normalized(seq, ns, X, Y):
+        hdist = np.asarray(H.eval(x, y))
         classical = float(np.max(np.abs(n * (1.0 - hdist[pos]) + logg[pos])))
-        powered = bifree_power(H, n)
-        pv = np.asarray(powered.eval(an * X + bn, cn * Y + dn))
+        pv = np.asarray(bifree_power(H, n).eval(x, y))
         bifree = float(np.max(np.abs(pv - fvals)))
         rows.append((n, "classical", classical))
         rows.append((n, "bifree", bifree))

@@ -171,6 +171,11 @@ class TestQuasiMonotone:
             F = random_law_bdf(rng)
             assert is_quasi_monotone(F, tol=1e-12).ok
 
+    def test_non_grid_df_is_probed_on_the_default_lattice(self):
+        from bifreemax import AMHCopula
+        F = CoupledBDF(AMHCopula(0.5), uniform_df(0, 1), uniform_df(0, 1))
+        assert is_quasi_monotone(F).ok
+
 
 class TestSupDistance:
     def test_identical(self):

@@ -9,6 +9,9 @@ import pytest
 from bifreemax import DiscreteMeasure, GridBDF, GridUDF, bdf_from_law
 from bifreemax.cli import main
 from bifreemax.serialize import bdf_to_obj, load_json
+from bifreemax import (AMHCopula, CoupledBDF, GridCopula, MeasureBDF,
+                       bifree_power, free_power, uniform_df)
+from bifreemax.convolution import ExpTailBDF
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -60,3 +63,50 @@ def test_nan_surface_is_refused_not_judged(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_copula_rejects_non_finite(bad):
+    knots = [0.0, 0.5, 1.0]
+    vals = np.outer(knots, knots)
+    with pytest.raises(ValueError, match="knots and values must be finite"):
+        GridCopula([0.0, bad, 1.0], knots, vals)
+    with pytest.raises(ValueError, match="knots and values must be finite"):
+        GridCopula(knots, [0.0, bad, 1.0], vals)
+    vals[1, 1] = bad
+    with pytest.raises(ValueError, match="knots and values must be finite"):
+        GridCopula(knots, knots, vals)
+
+
+def _amh_law():
+    return CoupledBDF(AMHCopula(0.5), uniform_df(), uniform_df())
+
+
+# a NaN power fails every guard of the power calculus with its own message
+@pytest.mark.parametrize("power, message", [
+    (lambda t: bifree_power(_amh_law(), t), "power must be nonnegative"),
+    (lambda t: free_power(uniform_df(), t), "power must be nonnegative"),
+    (lambda t: ExpTailBDF(_amh_law(), t), "t must be positive"),
+    (lambda t: DiscreteMeasure([[0.0, 1.0]], [0.5]).scaled(t),
+     "scale factor must be nonnegative"),
+    (lambda t: MeasureBDF(DiscreteMeasure([[1.0, 1.0]], [0.5]),
+                          (0.0, 0.0)).power(t), "power must be positive"),
+], ids=["bifree_power", "free_power", "ExpTailBDF", "scaled",
+        "MeasureBDF.power"])
+def test_nan_power_is_refused(power, message):
+    with pytest.raises(ValueError, match=message):
+        power(np.nan)
+
+
+@pytest.mark.parametrize("out", [[], ["-o", "P.json"]],
+                         ids=["stdout", "artifact"])
+def test_cli_refuses_a_nan_power(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "coupled", "amh:theta=0.5", "uniform:0,1",
+                 "-o", "F.json"]) == 0
+    capsys.readouterr()
+    assert main(["power", "@F.json", "nan", *out]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "power must be nonnegative" in captured.err
+    assert not (tmp_path / "P.json").exists()

@@ -46,10 +46,10 @@ from .distributions import (
     _ratio,
     _worst,
     bdf_from_law,
+    grid_probe,
     law_from_bdf,
     materialize,
     ones_df,
-    sup_distance,
 )
 
 __all__ = [
@@ -136,17 +136,26 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
 class RatioBDF(BivariateDF):
     """A law given by its marginals and its ratio: H = H1*H2/Q where
     H1*H2 > 0 and Q is finite, and H = 0 elsewhere.  Subclasses define
-    ``_q``."""
+    ``_q``.
+
+    Under the fresh-array contract of :class:`BivariateDF` each ``_q``
+    works in place on the ratio its base returns (``q += g; q -= 1.0`` is
+    ``q + g - 1.0`` to the bit), and ``_eval`` divides in place into the
+    marginal product it builds.
+    """
 
     def _q(self, x1, x2):
         raise NotImplementedError
 
     def _eval(self, x1, x2):
-        h = np.asarray(self.marginal1.eval(x1)) \
-            * np.asarray(self.marginal2.eval(x2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = np.asarray(self._q(x1, x2))
-            return _ratio(h, q, (h > 0) & np.isfinite(q), 0.0)
+            q = self._q(x1, x2)
+        # made after Q, so that it is not held while Q is computed
+        h = np.asarray(self.marginal1.eval(x1) * self.marginal2.eval(x2))
+        live = np.isfinite(q)
+        live &= h > 0
+        with np.errstate(over="ignore"):
+            return _ratio(h, q, live, 0.0, out=h)
 
 
 class ConvolvedBDF(RatioBDF):
@@ -160,7 +169,10 @@ class ConvolvedBDF(RatioBDF):
                          free_maxconv(F.marginal2, G.marginal2))
 
     def _q(self, x1, x2):
-        return self.F._q(x1, x2) + self.G._q(x1, x2) - 1.0
+        q = self.F._q(x1, x2)
+        q += self.G._q(x1, x2)
+        q -= 1.0
+        return q
 
 
 def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
@@ -203,7 +215,11 @@ class PowerBDF(RatioBDF):
                          free_power(base.marginal2, t))
 
     def _q(self, x1, x2):
-        return 1.0 + self.t * (self.base._q(x1, x2) - 1.0)
+        q = self.base._q(x1, x2)
+        q -= 1.0
+        q *= self.t
+        q += 1.0
+        return q
 
 
 def bifree_power(F: BivariateDF, t) -> BivariateDF:
@@ -386,7 +402,8 @@ class MeasureBDF(RatioBDF):
                          _marginal_from_tau(tau, 1, self.lower[1]))
 
     def _q(self, x1, x2):
-        return 1.0 - np.asarray(self.tau.tail(x1, x2))
+        tail = np.asarray(self.tau.tail(x1, x2))
+        return np.subtract(1.0, tail, out=tail)
 
     def power(self, t):
         """The measure t*tau above ``lower`` for t <= 1, and for t > 1 above
@@ -439,7 +456,7 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     lower corner ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` for lam > 1 and
     ``p`` otherwise, and a report of sup-distances along the ``ns`` ladder,
     probed on the atoms' coordinates, their midpoints and points below and
-    beyond them.
+    beyond them.  The limit is evaluated on the probe once, not once per n.
     """
     if lam <= 0:
         raise ValueError("rate must be positive")
@@ -464,15 +481,17 @@ def compound_poisson_limit(lam, nu, p, ns=None):
         mids = 0.5 * (c[:-1] + c[1:])
         probe.append(np.unique(np.concatenate(
             [c, mids, [c[0] - 0.5, c[-1] + 0.5, c[-1] + 1.5]])))
-    probe = tuple(probe)
 
+    # sup_distance against the limit's values on the probe
+    x1, x2 = grid_probe(*probe)
+    target = limit.eval(x1, x2)
+    atoms = np.vstack([np.array([[p[0], p[1]]]), nu.points])
     dists = []
     for n in ns:
-        atoms = np.vstack([np.array([[p[0], p[1]]]), nu.points])
         masses = np.concatenate(([1.0 - lam / n], (lam / n) * nu.masses))
         step = bdf_from_law(DiscreteMeasure(atoms, masses))
-        powered = bifree_power(step, n)
-        dists.append(sup_distance(powered, limit, probe))
+        powered = bifree_power(step, n).eval(x1, x2)
+        dists.append(float(np.max(np.abs(powered - target))))
     report = CompoundPoissonReport(tuple(ns), tuple(dists), dists[-1])
     return limit, report
 
@@ -526,7 +545,10 @@ class ExpTailBDF(RatioBDF):
         super().__init__(marginal(base.marginal1), marginal(base.marginal2))
 
     def _q(self, x1, x2):
-        return np.exp(self.t * (self.base._q(x1, x2) - 1.0))
+        q = np.asarray(self.base._q(x1, x2))
+        q -= 1.0
+        q *= self.t
+        return np.exp(q, out=q)
 
 
 maxid_from_tail_functional = ExpTailBDF

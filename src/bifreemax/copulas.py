@@ -101,8 +101,9 @@ class Copula:
         def f(ua, va):
             c = np.asarray(self.eval(ua, va))
             prod = ua * va
-            return np.where(prod > 0.0, _ratio(prod, c, c > 0, np.inf),
-                            np.maximum(ua, va))
+            out = _ratio(prod, c, c > 0, np.inf)
+            np.copyto(out, np.maximum(ua, va), where=np.logical_not(prod > 0.0))
+            return out
 
         return _pointwise(f, u, v)
 
@@ -122,8 +123,9 @@ class _FFormCopula(Copula):
         # f can round to 0 next to the origin, where uv / f would be inf;
         # there, and where f is undefined, the value is uv, in [0, min(u, v)];
         # a NaN argument gives NaN, and uv = 0 gives +0.0
-        return np.where(prod > 0.0, _ratio(prod, f, f > 0, prod),
-                        np.where(np.isnan(prod), np.nan, 0.0))
+        out = _ratio(prod, f, f > 0, prod)
+        np.copyto(out, 0.0, where=prod <= 0.0)
+        return out
 
 
 class IndependenceCopula(_FFormCopula):

@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * Step grids are right-continuous: the value attached to a knot applies on
-  ``[knot, next_knot)``.
+  ``[knot, next_knot)``; a NaN query on a step grid gives NaN.
 * Every univariate distribution function (DF) carries a ``support_lower``
   bound ``L`` (``eval(x) = 0`` for ``x < L``; ``L = -inf`` is legal) and a
   ``saturation`` point beyond which ``eval`` returns exactly 1, so tails can
@@ -94,11 +94,15 @@ def _require_finite(message, *arrays):
         raise ValueError(message)
 
 
-def _ratio(num, den, live, fill):
-    """num / den where ``live``, ``fill`` elsewhere; the entries masked out
-    raise no floating-point warning."""
+def _ratio(num, den, live, fill, out=None):
+    """num / den where ``live``, ``fill`` elsewhere, as one division over
+    every entry written to ``out`` (a fresh array when None) and one copy of
+    ``fill`` over the entries masked out, which raise no floating-point
+    warning.  The result is an array, 0-d for scalar operands."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(live, num / np.where(live, den, 1.0), fill)
+        out = np.asarray(np.divide(num, den, out=out))
+    np.copyto(out, fill, where=np.logical_not(live))
+    return out
 
 
 def _cell_volumes(v):
@@ -244,7 +248,10 @@ class GridUDF(UnivariateDF):
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("values must be nondecreasing along knots")
         self.knots = knots
-        self.values = np.clip(values, 0.0, 1.0)
+        # values[i] applies from knots[i]; the table puts a 0 before them,
+        # for queries below the first knot
+        self._table = np.zeros(knots.size + 1)
+        self.values = np.clip(values, 0.0, 1.0, out=self._table[1:])
         if support_lower is None:
             pos = np.nonzero(self.values > 0.0)[0]
             support_lower = knots[pos[0]] if pos.size else np.inf
@@ -254,9 +261,10 @@ class GridUDF(UnivariateDF):
         super().__init__(support_lower, saturation)
 
     def _eval(self, x):
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        out = self.values[np.clip(idx, 0, self.knots.size - 1)]
-        return np.where(idx < 0, 0.0, out)
+        # the count of knots at or below x is its entry of the table; a NaN
+        # sorts past every knot and reads NaN
+        out = self._table[np.searchsorted(self.knots, x, side="right")]
+        return np.where(np.isnan(x), np.nan, out)
 
     def quantile_exceed(self, c):
         if not 0.0 <= c < 1.0:
@@ -378,6 +386,12 @@ class BivariateDF:
     past {F > 0} (a copula denominator, an exponent-measure tail).  The
     derived laws of :mod:`bifreemax.convolution` are built from it, since
     Q - 1 is additive under bi-free max-convolution.
+
+    Every ``_eval`` and ``_q`` returns a fresh array, or a float, that its
+    caller owns: the derived laws add, scale and divide in place on the
+    array their callee just returned, so an evaluator never hands back one
+    of its queries, a cached array or a view of its own state.  The ``_q``
+    of a law that derived laws are built from has the full query shape.
     """
 
     kind = "abstract"
@@ -401,9 +415,8 @@ class BivariateDF:
 
     def _q(self, x1, x2):
         f = np.asarray(self._eval(x1, x2))
-        num = np.asarray(self.marginal1.eval(x1)) \
-            * np.asarray(self.marginal2.eval(x2))
-        return _ratio(num, f, f > 0, np.inf)
+        num = np.asarray(self.marginal1.eval(x1) * self.marginal2.eval(x2))
+        return _ratio(num, f, f > 0, np.inf, out=num)
 
     def q_eval(self, x1, x2):
         """The product-to-joint ratio F1*F2/F; raises SupportError where it
@@ -418,7 +431,15 @@ class BivariateDF:
 
 
 class GridBDF(BivariateDF):
-    """Step-grid bivariate DF on a rectilinear knot lattice."""
+    """Step-grid bivariate DF on a rectilinear knot lattice.
+
+    The values, clipped to [0, 1], sit inside a table with a border of
+    zeros before the first row and column; ``values`` is a view of its
+    interior, so the lattice is stored once.  A query reads the table at
+    the counts of knots at or below it, which is 0 below the lattice and
+    the last row or column beyond it.  Past a marginal's saturation point
+    the surface equals the other marginal, and a NaN query gives NaN.
+    """
 
     kind = "grid"
 
@@ -426,34 +447,38 @@ class GridBDF(BivariateDF):
         super().__init__(marginal1, marginal2)
         self.xknots = np.atleast_1d(_as_float_array(xknots))
         self.yknots = np.atleast_1d(_as_float_array(yknots))
-        self.values = _as_float_array(values)
-        if self.values.shape != (self.xknots.size, self.yknots.size):
+        values = _as_float_array(values)
+        if values.shape != (self.xknots.size, self.yknots.size):
             raise ValueError("values must have shape (len(xknots), len(yknots))")
+        # a NaN or an infinite value shows in the least or the greatest one
+        lo, hi = values.min(initial=0.0), values.max(initial=0.0)
         _require_finite("knots and values must be finite",
-                        self.xknots, self.yknots, self.values)
+                        self.xknots, self.yknots, lo, hi)
         if np.any(np.diff(self.xknots) <= 0) or np.any(np.diff(self.yknots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
+        if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValueError("values must lie in [0, 1]")
-        self.values = np.clip(self.values, 0.0, 1.0)
+        self._table = np.zeros((self.xknots.size + 1, self.yknots.size + 1))
+        self.values = np.clip(values, 0.0, 1.0, out=self._table[1:, 1:])
 
     def _eval(self, x1, x2):
-        i = np.searchsorted(self.xknots, x1, side="right") - 1
-        j = np.searchsorted(self.yknots, x2, side="right") - 1
-        vals = self.values[np.clip(i, 0, self.xknots.size - 1),
-                           np.clip(j, 0, self.yknots.size - 1)]
-        vals = np.where((i < 0) | (j < 0), 0.0, vals)
-        # queries beyond the grid clamp to the last row/column, except past
-        # a marginal saturation point, where the surface equals the other
-        # marginal exactly
+        vals = np.asarray(self._table[
+            np.searchsorted(self.xknots, x1, side="right"),
+            np.searchsorted(self.yknots, x2, side="right")])
+        # beyond the lattice the last row or column holds, except past a
+        # marginal saturation point, where the surface is the other
+        # marginal exactly (1 past both, as UnivariateDF.eval is 1 there)
         o1 = (x1 > self.xknots[-1]) & (x1 >= self.marginal1.saturation)
-        o2 = (x2 > self.yknots[-1]) & (x2 >= self.marginal2.saturation)
         if np.any(o1):
-            vals = np.where(o1, self.marginal2.eval(x2), vals)
+            np.copyto(vals, self.marginal2.eval(x2), where=o1)
+        o2 = (x2 > self.yknots[-1]) & (x2 >= self.marginal2.saturation)
         if np.any(o2):
-            vals = np.where(o2, self.marginal1.eval(x1), vals)
-        if np.any(o1 & o2):
-            vals = np.where(o1 & o2, 1.0, vals)
+            np.copyto(vals, self.marginal1.eval(x1), where=o2)
+        # a NaN sorts past every knot; found on its own axis
+        for x in (x1, x2):
+            nan = np.isnan(x)
+            if np.any(nan):
+                np.copyto(vals, np.nan, where=nan)
         return vals
 
     def validate(self, tol=1e-9):
@@ -746,9 +771,7 @@ def bdf_from_law(measure: DiscreteMeasure) -> GridBDF:
 def law_from_bdf(F: GridBDF) -> DiscreteMeasure:
     """Atomic law with the same step DF: one atom per knot, mass = the
     half-open cell volume ending at that knot."""
-    padded = np.zeros((F.xknots.size + 1, F.yknots.size + 1))
-    padded[1:, 1:] = F.values
-    masses = np.diff(np.diff(padded, axis=0), axis=1)
+    masses = np.diff(np.diff(F._table, axis=0), axis=1)
     xs, ys = np.meshgrid(F.xknots, F.yknots, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     keep = masses.ravel() > 0

@@ -33,7 +33,7 @@ from . import convolution as cv
 from . import copulas as cp
 from . import extremes as ex
 from . import gaussian as ga
-from .distributions import CoupledBDF, GridBDF, GridUDF, materialize
+from .distributions import CoupledBDF, GridBDF, GridUDF, _span, materialize
 from .serialize import (
     bdf_to_obj,
     dump_json,
@@ -96,17 +96,6 @@ def _emit_verdict(args, payload):
     return _EXIT[payload["status"]]
 
 
-def _marginal_range(m, n):
-    lo = m.quantile_exceed(0.0)
-    hi = m.saturation
-    if not np.isfinite(hi):
-        hi = m.quantile_exceed(0.999)
-        hi += 0.25 * max(1.0, abs(hi - lo))
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def _marginal_summary(tag, m):
     med = m.quantile_exceed(0.5)
     sat = m.saturation
@@ -132,8 +121,8 @@ def _cmd_convolve(args):
         g = parse_marginal(args.b)
         h = cv.free_maxconv(f, g)
         if not isinstance(h, GridUDF):
-            knots = np.union1d(_marginal_range(f, args.grid),
-                               _marginal_range(g, args.grid))
+            knots = np.union1d(np.linspace(*_span(f), args.grid),
+                               np.linspace(*_span(g), args.grid))
             h = GridUDF(knots, h.eval(knots))
         print(_marginal_summary("result", h))
         if args.output:
@@ -236,8 +225,8 @@ def _cmd_build(args):
         m1 = parse_marginal(args.marginal1)
         m2 = parse_marginal(args.marginal2 or args.marginal1)
         grid = materialize(CoupledBDF(C, m1, m2),
-                           _marginal_range(m1, args.grid),
-                           _marginal_range(m2, args.grid))
+                           np.linspace(*_span(m1), args.grid),
+                           np.linspace(*_span(m2), args.grid))
     _emit_bdf(args, grid)
     return 0
 
@@ -326,8 +315,8 @@ def _cmd_experiment(args):
         m2 = parse_marginal(args.marginal2 or args.marginal)
         F = ex.bifree_ev(m1, m2, A)
         seq = ex.default_normalizers(m1, m2)
-        probe = (_marginal_range(m1, args.probe),
-                 _marginal_range(m2, args.probe))
+        probe = (np.linspace(*_span(m1), args.probe),
+                 np.linspace(*_span(m2), args.probe))
         report = ex.check_max_stable(F, seq, _ints(args.ns), probe)
         rows = [(n, "sup_distance", d) for n, d in report.rows]
         summary = {"experiment": "max-stable", "pickands": args.spec,

@@ -300,9 +300,10 @@ class MaxIdVerdict:
 
 
 def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
-    """Decide bi-free max-infinite divisibility on a verification grid.
+    """Decide bi-free max-infinite divisibility on ``grid``, else a grid
+    DF's knots, else ``_probe_grid``'s lattice dense at the lower bounds.
 
-    The decision uses the ratio Q = F1*F2/F on the positive rectangle:
+    The decision reads Q = F1*F2/F once on the positive rectangle:
 
     * adjacent increments of Q must be nonnegative and bounded by the
       marginal increments (within ``tol``), and
@@ -325,8 +326,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
 
     m1 = np.asarray(F.marginal1.eval(xs))
     m2 = np.asarray(F.marginal2.eval(ys))
-    p1 = m1 > 0.0
-    p2 = m2 > 0.0
+    p1, p2 = m1 > 0.0, m2 > 0.0
     if not (p1.any() and p2.any()):
         return MaxIdVerdict("inconclusive", "no positive probe points")
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
@@ -341,8 +341,8 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
                          (float(xs[i]), float(ys[j])),
                          (float(xs[i]), float(ys[j])), float(vals[i, j])))
 
-    xs, ys = xs[p1], ys[p2]
-    q, m1, m2 = _ratio_parts(F, xs[:, None], ys[None, :])
+    xs, ys, m1, m2 = xs[p1], ys[p2], m1[p1][:, None], m2[p2][None, :]
+    q = np.asarray(F.q_eval(xs[:, None], ys[None, :]))
 
     # tags: (check name, index step from the lower to the upper corner); on
     # a one-row or one-column lattice the blocks across it are empty

@@ -655,28 +655,39 @@ class QuasiMonotoneResult:
 _PROBE_KNOTS = 81
 
 
+def _span(m):
+    """The default knot range of a marginal: from its lower bound to
+    saturation, else past the 0.999 quantile by a quarter of the range (at
+    least 0.25), and one unit for a point mass."""
+    lo = m.quantile_exceed(0.0)
+    hi = m.saturation
+    if not np.isfinite(hi):
+        hi = m.quantile_exceed(0.999)
+        hi += 0.25 * max(1.0, abs(hi - lo))
+    if hi <= lo:
+        hi = lo + 1.0
+    return lo, hi
+
+
 def _probe_grid(F, grid):
     """The probe lattice of a grid decision: ``grid``, else the knots of a
-    grid DF, else the default lattice of ``_PROBE_KNOTS`` knots per axis,
-    spaced evenly in x: dense from the lower bound to the 0.9 quantile, then
-    a sparse tail out to saturation or past the 0.999 quantile."""
+    grid DF, else ``_PROBE_KNOTS`` knots per axis on each marginal's
+    ``_span``: 61 from the lower bound to the 0.9 quantile, spaced
+    quadratically to crowd the lower bound, then 20 evenly to the span's end."""
     if grid is not None:
         return _as_float_array(grid[0]), _as_float_array(grid[1])
     if isinstance(F, GridBDF):
         return F.xknots, F.yknots
     knots = []
     for m in (F.marginal1, F.marginal2):
-        lo = m.quantile_exceed(0.0)
+        lo, hi = _span(m)
         mid = m.quantile_exceed(0.9)
-        hi = m.saturation
-        if not np.isfinite(hi):
-            hi = m.quantile_exceed(0.999)
-            hi += 0.5 * max(1.0, abs(hi - lo))
         if mid <= lo:
             mid = lo + 0.5 * max(hi - lo, 1.0)
         if hi <= mid:
             hi = mid + max(1.0, mid - lo)
-        head = np.linspace(lo, mid, _PROBE_KNOTS - _PROBE_KNOTS // 4)
+        s = np.linspace(0.0, 1.0, _PROBE_KNOTS - _PROBE_KNOTS // 4)
+        head = lo + (mid - lo) * s ** 2
         tail = np.linspace(mid, hi, _PROBE_KNOTS // 4 + 1)[1:]
         knots.append(np.concatenate([head, tail]))
     return knots[0], knots[1]
@@ -771,7 +782,7 @@ def bdf_from_law(measure: DiscreteMeasure) -> GridBDF:
 def law_from_bdf(F: GridBDF) -> DiscreteMeasure:
     """Atomic law with the same step DF: one atom per knot, mass = the
     half-open cell volume ending at that knot."""
-    masses = np.diff(np.diff(F._table, axis=0), axis=1)
+    masses = _cell_volumes(F._table)
     xs, ys = np.meshgrid(F.xknots, F.yknots, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     keep = masses.ravel() > 0

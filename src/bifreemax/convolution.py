@@ -41,6 +41,7 @@ from .distributions import (
     SupportError,
     UnivariateDF,
     _cell_volumes,
+    _nan_queries,
     _probe_grid,
     _pointwise,
     _ratio,
@@ -106,7 +107,8 @@ def _declared_lower(F: UnivariateDF, refusal):
 def free_power(F: UnivariateDF, t) -> UnivariateDF:
     """t-fold free max-convolution power (t*F - (t-1))_+, 0 below a finite
     lower bound L; for t < 1 the canonical representative on [L, inf).  For
-    t > 1 a grid input gives the step DF of that form on its knots."""
+    t > 1 the power starts at L = inf{F > 1 - 1/t}, one ``quantile_exceed``
+    call, and a grid input gives the step DF of that form on its knots."""
     t = float(t)
     if not t >= 0:
         raise ValueError("power must be nonnegative")
@@ -119,6 +121,12 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
     else:
         lower = _declared_lower(
             F, "fractional powers need support bounded from below")
+    return _free_power_above(F, t, lower)
+
+
+def _free_power_above(F: UnivariateDF, t, lower) -> UnivariateDF:
+    """free_power(F, t) for t > 0, t != 1, whose lower bound ``lower`` is
+    found already."""
     # FuncUDF's clip to [0, 1] is the (.)_+
     H = FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
                 kind="free-power")
@@ -135,8 +143,8 @@ def free_power(F: UnivariateDF, t) -> UnivariateDF:
 
 class RatioBDF(BivariateDF):
     """A law given by its marginals and its ratio: H = H1*H2/Q where
-    H1*H2 > 0 and Q is finite, and H = 0 elsewhere.  Subclasses define
-    ``_q``.
+    H1*H2 > 0 and Q is finite, NaN at a NaN query, and H = 0 elsewhere.
+    Subclasses define ``_q``.
 
     Under the fresh-array contract of :class:`BivariateDF` each ``_q``
     works in place on the ratio its base returns (``q += g; q -= 1.0`` is
@@ -155,7 +163,8 @@ class RatioBDF(BivariateDF):
         live = np.isfinite(q)
         live &= h > 0
         with np.errstate(over="ignore"):
-            return _ratio(h, q, live, 0.0, out=h)
+            out = _ratio(h, q, live, 0.0, out=h)
+        return _nan_queries(out, x1, x2)
 
 
 class ConvolvedBDF(RatioBDF):
@@ -199,20 +208,31 @@ def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
 class PowerBDF(RatioBDF):
     """Real convolution power via the scaling Q_{F^(t)} - 1 = t*(Q_F - 1).
 
-    For t < 1 the canonical representative is returned: marginals keep the
-    support [L, inf) of the base and gain an atom of mass (1-t) at L.  Where
-    the base ratio is +inf (the base vanishes and has no closed-form ratio)
-    the power vanishes too.
+    The marginals are the free powers of the base's marginals; when the base
+    has one marginal object on both axes, so has the power, and its free
+    power is built once.  For t < 1 the canonical representative is
+    returned: marginals keep the support [L, inf) of the base and gain an
+    atom of mass (1-t) at L.  Where the base ratio is +inf (the base
+    vanishes and has no closed-form ratio) the power vanishes too.
+
+    ``_lowers``, for t > 1 only, holds the marginal lower bounds
+    inf{F_j > 1 - 1/t} where :func:`_power_ladder` has found them already.
     """
 
     kind = "bifree-power"
 
-    def __init__(self, base, t):
+    def __init__(self, base, t, *, _lowers=None):
         t = float(t)
         self.base = base
         self.t = t
-        super().__init__(free_power(base.marginal1, t),
-                         free_power(base.marginal2, t))
+        axes = (base.marginal1,) if base.marginal2 is base.marginal1 else \
+            (base.marginal1, base.marginal2)
+        if _lowers is None:
+            powers = [free_power(m, t) for m in axes]
+        else:
+            powers = [_free_power_above(m, t, lower)
+                      for m, lower in zip(axes, _lowers)]
+        super().__init__(powers[0], powers[-1])
 
     def _q(self, x1, x2):
         q = self.base._q(x1, x2)
@@ -241,6 +261,31 @@ def bifree_power(F: BivariateDF, t) -> BivariateDF:
     if isinstance(F, MeasureBDF):
         return F.power(t)
     return PowerBDF(F, t)
+
+
+def _power_ladder(F: BivariateDF, ns):
+    """``(n, bifree_power(F, n))`` for each n of ``ns`` in its order.
+
+    Each power n > 1 starts at the marginal quantiles inf{F_j > 1 - 1/n}.
+    The ladder finds them for every n with one vector ``quantile_exceed``
+    call per marginal, one in all when both axes carry one marginal object,
+    and hands them to the constructor that ``bifree_power`` uses.  Each
+    quantile is the float of the scalar call, so each power is the one
+    ``bifree_power(F, n)`` returns.
+    """
+    ns = [int(n) for n in ns]
+    levels = [1.0 - 1.0 / n for n in ns if n > 1]
+    m1, m2 = F.marginal1, F.marginal2
+    lows1 = m1.quantile_exceed(levels).tolist()
+    lows2 = lows1 if m2 is m1 else m2.quantile_exceed(levels).tolist()
+    lowers = iter(zip(lows1, lows2))
+    for n in ns:
+        if n <= 1:
+            yield n, bifree_power(F, n)
+        elif isinstance(F, MeasureBDF):
+            yield n, MeasureBDF(F.tau.scaled(n), next(lowers))
+        else:
+            yield n, PowerBDF(F, n, _lowers=next(lowers))
 
 
 # ---------------------------------------------------------------------------

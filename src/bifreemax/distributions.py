@@ -105,6 +105,16 @@ def _ratio(num, den, live, fill, out=None):
     return out
 
 
+def _nan_queries(vals, *queries):
+    """``vals`` with NaN wherever a query is NaN, each NaN found on its own
+    query axis, so an outer-product query costs no full-lattice pass."""
+    for x in queries:
+        # the least entry of an array with a NaN is NaN
+        if math.isnan(x.min(initial=0.0)):
+            np.copyto(vals, np.nan, where=np.isnan(x))
+    return vals
+
+
 def _cell_volumes(v):
     """Volumes v[i+1, j+1] - v[i, j+1] - v[i+1, j] + v[i, j] of the cells
     between adjacent lattice points."""
@@ -134,6 +144,25 @@ def _lattice_sums(cells, shape, masses):
 # levels of the bisection tree that one ``eval`` call of
 # ``UnivariateDF.quantile_exceed`` covers: 2**8 - 1 = 255 midpoints
 _LOOKAHEAD = 8
+# the spans of a ladder's tree nodes, level by level from the root
+_STRIDES = [2 ** k for k in range(_LOOKAHEAD, 0, -1)]
+# a safety cap on the halvings of one level: the stopping rule ends a walk
+# between finite floats within about 1070 halvings (from a span of 2**1025
+# to a width of 1e-13, about 2**-43); only a walk whose midpoint overflowed
+# to an infinity reaches the cap
+_MAX_HALVINGS = 2200
+
+
+def _levels(c):
+    """The levels of a ``quantile_exceed`` call as a float array of at most
+    one dimension; the first level outside [0, 1) raises a ValueError."""
+    levels = np.asarray(c, dtype=np.float64)
+    if levels.ndim > 1:
+        raise ValueError("levels must be a scalar or a 1-D array")
+    for level in levels.reshape(-1).tolist():
+        if not 0.0 <= level < 1.0:
+            raise ValueError(f"threshold must lie in [0, 1), got {level}")
+    return levels
 
 
 class UnivariateDF:
@@ -155,77 +184,110 @@ class UnivariateDF:
     def eval(self, x):
         xa = _as_float_array(x)
         out = self._eval(xa)
-        if np.isfinite(self.support_lower):
+        if math.isfinite(self.support_lower):
             out = np.where(xa < self.support_lower, 0.0, out)
-        if np.isfinite(self.saturation):
+        if math.isfinite(self.saturation):
             out = np.where(xa >= self.saturation, 1.0, out)
-        return float(out) if np.ndim(x) == 0 else out
+        return float(out) if xa.ndim == 0 else out
 
     def __call__(self, x):
         return self.eval(x)
 
     def quantile_exceed(self, c):
-        """inf{x : F(x) > c} for c in [0, 1), found by bisection.
+        """inf{x : F(x) > c} for a level c in [0, 1), found by bisection; for
+        a 1-D array of levels, in any order, the array of these quantiles.
 
-        Exact for grid-backed DFs.  An infinite lower bound is bracketed by
-        doubling from -1, a call a step; an infinite saturation point by the
-        ladder h -> 2h + 1 from the lower bracket up to 1e12, evaluated with
-        both support-edge checks in one ``eval`` call.  The bisection is
-        replayed: each ``eval`` call takes the midpoints of the next
-        ``_LOOKAHEAD`` levels of the bisection tree in one sorted ladder,
-        computed as the step-by-step bisection computes them, and the walk
-        down the tree keeps its ``> c`` test, stopping rule and 200-step cap,
-        so the result is the same float in fewer calls.
+        Exact for grid-backed DFs.  Every level walks one replay, and each
+        entry of a vector call is the float of the scalar call:
+
+        * An infinite lower bound is bracketed by doubling from -1, a call a
+          step, once, for the smallest level; each level takes the first
+          -2**j of that doubling with F <= c, where its own doubling stops.
+        * An infinite saturation point is bracketed by the ladder
+          h -> 2h + 1 from the lower bracket up to 1e12.  One ``eval`` call
+          takes these ladders and both support-edge checks of every level.
+        * Each round of the bisection makes one ``eval`` call over the
+          midpoints of the next ``_LOOKAHEAD`` levels of the bisection tree
+          of every level still walking, each ladder computed as the
+          step-by-step bisection computes it.  Each level walks down its own
+          tree with its ``> c`` test, support-edge snap and stopping rule.
+
+        A level outside [0, 1), or without a bracket, raises the ValueError
+        of the scalar call at that level.
         """
-        if not 0.0 <= c < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {c}")
+        levels = _levels(c)
+        cs = levels.reshape(-1).tolist()
+        if not cs:
+            return np.empty(0)
         lo = self.support_lower
-        if not np.isfinite(lo):
-            lo = -1.0
-            while self.eval(lo) > c:
-                lo *= 2.0
+        if math.isfinite(lo):
+            los = [lo] * len(cs)
+        else:
+            least = min(cs)
+            lows = [(-1.0, self.eval(-1.0))]
+            while lows[-1][1] > least:
+                lo = 2.0 * lows[-1][0]
                 if lo < -1e12:
                     raise ValueError("no finite lower bracket for quantile search")
-        hi = self.saturation
-        his = [] if np.isfinite(hi) else [max(abs(lo), 1.0)]
-        while his and 2.0 * his[-1] + 1.0 <= 1e12:
-            his.append(2.0 * his[-1] + 1.0)
-        eps = 1e-12 * max(1.0, abs(lo))
-        above = np.asarray(self.eval(np.array([lo, lo + eps, *his]))) > c
-        if his:
-            if not above[2:].any():
-                raise ValueError("no finite upper bracket for quantile search")
-            hi = his[int(np.argmax(above[2:]))]
-        # snap to a support edge when F is positive at or right above it
-        if above[0] or above[1]:
-            return lo
-        steps = 0
-        while True:
-            # the bisection tree as one sorted ladder: each level puts
-            # 0.5 * (a + b) between neighbours a and b, the float the
-            # step-by-step bisection computes for the node [a, b], so node
-            # [pts[i], pts[j]] has its midpoint at pts[(i + j) // 2]; a node
-            # the walk never visits may span more than the largest float
-            # and its midpoint overflow
-            pts = np.array([lo, hi])
+                lows.append((lo, self.eval(lo)))
+            los = [next(x for x, v in lows if not v > level) for level in cs]
+        # the bracket points of each lower bracket: lo, lo + eps, then the
+        # upper ladder
+        brackets, pts = {}, []
+        for lo in dict.fromkeys(los):
+            his = [] if math.isfinite(self.saturation) else [max(abs(lo), 1.0)]
+            while his and 2.0 * his[-1] + 1.0 <= 1e12:
+                his.append(2.0 * his[-1] + 1.0)
+            brackets[lo] = (len(pts), his)
+            pts += [lo, lo + 1e-12 * max(1.0, abs(lo)), *his]
+        values = np.asarray(self.eval(np.array(pts))).tolist()
+        out, walks = [], []
+        for i, (level, lo) in enumerate(zip(cs, los)):
+            start, his = brackets[lo]
+            above = [v > level for v in values[start:start + 2 + len(his)]]
+            hi = self.saturation
+            if his:
+                if not any(above[2:]):
+                    raise ValueError("no finite upper bracket for quantile search")
+                hi = his[above.index(True, 2) - 2]
+            # snap to a support edge when F is positive at or right above it
+            out.append(lo)
+            if not (above[0] or above[1]):
+                walks.append((i, level, lo, hi, 0))
+        while walks:
+            # the bisection trees as sorted ladders, one column per level:
+            # stride by stride, node [pts[i], pts[i + s]] gets its midpoint
+            # 0.5 * (a + b) at pts[i + s // 2], the float the step-by-step
+            # bisection computes for it; a node the walk never visits may
+            # span more than the largest float and its midpoint overflow
+            pts = np.empty((2 ** _LOOKAHEAD + 1, len(walks)))
+            pts[0] = [lo for _, _, lo, _, _ in walks]
+            pts[-1] = [hi for _, _, _, hi, _ in walks]
             with np.errstate(over="ignore"):
-                for _ in range(_LOOKAHEAD):
-                    ladder = np.empty(2 * pts.size - 1)
-                    ladder[0::2] = pts
-                    ladder[1::2] = 0.5 * (pts[:-1] + pts[1:])
-                    pts = ladder
-            above = (np.asarray(self.eval(pts[1:-1])) > c).tolist()
-            pts = pts.tolist()
-            i, j = 0, len(pts) - 1
-            while j - i > 1:
-                m = (i + j) // 2
-                if above[m - 1]:
-                    hi, j = pts[m], m
+                for s in _STRIDES:
+                    pts[s // 2::s] = 0.5 * (pts[:-1:s] + pts[s::s])
+            values = np.asarray(self.eval(pts[1:-1].ravel()))
+            above = (values.reshape(pts.shape[0] - 2, -1)
+                     > [level for _, level, _, _, _ in walks]).T.tolist()
+            walking = []
+            for (i, level, lo, hi, steps), up in zip(walks, above):
+                # down the tree from [lo, hi] = [pts[0], pts[-1]], whose
+                # midpoints the walk recomputes to the same floats
+                a, b = 0, len(up) + 1
+                while b - a > 1:
+                    m = (a + b) // 2
+                    if up[m - 1]:
+                        hi, b = 0.5 * (lo + hi), m
+                    else:
+                        lo, a = 0.5 * (lo + hi), m
+                    steps += 1
+                    if hi - lo <= 1e-13 * max(1.0, abs(hi)) or steps == _MAX_HALVINGS:
+                        out[i] = hi
+                        break
                 else:
-                    lo, i = pts[m], m
-                steps += 1
-                if hi - lo <= 1e-13 * max(1.0, abs(hi)) or steps == 200:
-                    return hi
+                    walking.append((i, level, lo, hi, steps))
+            walks = walking
+        return out[0] if levels.ndim == 0 else np.array(out)
 
 
 class GridUDF(UnivariateDF):
@@ -267,12 +329,15 @@ class GridUDF(UnivariateDF):
         return np.where(np.isnan(x), np.nan, out)
 
     def quantile_exceed(self, c):
-        if not 0.0 <= c < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {c}")
-        pos = np.nonzero(self.values > c)[0]
-        if pos.size:
-            return float(self.knots[pos[0]])
-        return self.saturation
+        # the first knot whose value exceeds c is the first whose running
+        # maximum does; values may dip by up to 1e-12
+        levels = _levels(c)
+        idx = np.maximum.accumulate(self.values).searchsorted(levels,
+                                                              side="right")
+        if levels.ndim == 0:
+            return float(self.knots[idx]) if idx < self.knots.size \
+                else self.saturation
+        return np.append(self.knots, self.saturation)[idx]
 
 
 class FuncUDF(UnivariateDF):
@@ -474,12 +539,8 @@ class GridBDF(BivariateDF):
         o2 = (x2 > self.yknots[-1]) & (x2 >= self.marginal2.saturation)
         if np.any(o2):
             np.copyto(vals, self.marginal1.eval(x1), where=o2)
-        # a NaN sorts past every knot; found on its own axis
-        for x in (x1, x2):
-            nan = np.isnan(x)
-            if np.any(nan):
-                np.copyto(vals, np.nan, where=nan)
-        return vals
+        # a NaN sorts past every knot
+        return _nan_queries(vals, x1, x2)
 
     def validate(self, tol=1e-9):
         """Check DF axioms on the grid; raises ValueError on violation.

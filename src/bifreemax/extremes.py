@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import bifree_power
+from .convolution import _power_ladder
 from .copulas import BiFreeCopula, EVCopula, PickandsFn
 from .distributions import (
     BivariateDF,
@@ -183,11 +183,12 @@ def default_normalizers(m1: UnivariateDF, m2: UnivariateDF) -> NormalizingSequen
 # stability and attraction experiments
 # ---------------------------------------------------------------------------
 
-def _normalized(seq: NormalizingSequence, ns, X, Y):
-    """``(n, a_n X + b_n, c_n Y + d_n)`` for each n of the ladder."""
-    for n in map(int, ns):
+def _normalized(F: BivariateDF, seq: NormalizingSequence, ns, X, Y):
+    """``(n, a_n X + b_n, c_n Y + d_n, bifree_power(F, n))`` for each n of
+    the ladder, the powers from one :func:`_power_ladder`."""
+    for n, power in _power_ladder(F, ns):
         an, bn, cn, dn = seq(n)
-        yield n, an * X + bn, cn * Y + dn
+        yield n, an * X + bn, cn * Y + dn, power
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,15 @@ def check_max_stable(F: BivariateDF, seq: NormalizingSequence, ns,
                      probe) -> MaxStabilityReport:
     """Distance of the rescaled n-fold convolution powers from ``F`` itself.
 
-    Max-stable inputs give distances at rounding level for every n.
+    Max-stable inputs give distances at rounding level for every n.  The
+    marginal lower bounds of every power come from one vector quantile call
+    per marginal (:func:`~bifreemax.convolution._power_ladder`).
     """
     X, Y = grid_probe(*probe)
     base = np.asarray(F.eval(X, Y))
     rows = []
-    for n, x, y in _normalized(seq, ns, X, Y):
-        vals = np.asarray(bifree_power(F, n).eval(x, y))
+    for n, x, y, power in _normalized(F, seq, ns, X, Y):
+        vals = np.asarray(power.eval(x, y))
         rows.append((n, float(np.max(np.abs(vals - base)))))
     return MaxStabilityReport(tuple(rows))
 
@@ -230,7 +233,9 @@ def doa_experiment(H: BivariateDF, seq: NormalizingSequence,
     classical: sup |n*(1 - H(a_n x + b_n, c_n y + d_n)) + log G(x, y)| over
     probe points with G > 0; bi-free: sup distance of the rescaled n-fold
     bi-free power of ``H`` from the bi-free target.  For ``H`` in the shared
-    domain of attraction both shrink together.
+    domain of attraction both shrink together.  The powers of ``H`` come
+    from one :func:`~bifreemax.convolution._power_ladder`, as in
+    :func:`check_max_stable`.
     """
     X, Y = grid_probe(*probe)
     g = np.asarray(classical_target.eval(X, Y))
@@ -238,10 +243,10 @@ def doa_experiment(H: BivariateDF, seq: NormalizingSequence,
     logg = np.log(np.where(pos, g, 1.0))
     fvals = np.asarray(bifree_target.eval(X, Y))
     rows = []
-    for n, x, y in _normalized(seq, ns, X, Y):
+    for n, x, y, power in _normalized(H, seq, ns, X, Y):
         hdist = np.asarray(H.eval(x, y))
         classical = float(np.max(np.abs(n * (1.0 - hdist[pos]) + logg[pos])))
-        pv = np.asarray(bifree_power(H, n).eval(x, y))
+        pv = np.asarray(power.eval(x, y))
         bifree = float(np.max(np.abs(pv - fvals)))
         rows.append((n, "classical", classical))
         rows.append((n, "bifree", bifree))

@@ -46,7 +46,9 @@ def scalar_quantile_exceed(F, c):
         eps = 1e-12 * max(1.0, abs(lo))
         if F.eval(lo + eps) > c:
             return lo
-    for _ in range(200):
+    # a safety cap only: the stopping rule ends every walk between finite
+    # floats within about 1070 halvings
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         if F.eval(mid) > c:
             hi = mid

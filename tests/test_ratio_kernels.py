@@ -106,7 +106,9 @@ def dense_eval(F, x1, x2):
     h = np.asarray(F.marginal1.eval(x1)) * np.asarray(F.marginal2.eval(x2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = np.asarray(dense_q(F, x1, x2))
-        return dense_ratio(h, q, (h > 0) & np.isfinite(q), 0.0)
+        vals = dense_ratio(h, q, (h > 0) & np.isfinite(q), 0.0)
+    # a NaN query gives NaN, as on a step DF and a coupled DF
+    return np.where(np.isnan(x1) | np.isnan(x2), np.nan, vals)
 
 
 def dense_q(F, x1, x2):

@@ -344,6 +344,20 @@ class MaxIdVerdict:
         return self.status == "yes"
 
 
+def _ratio_blocks(q, m1, m2):
+    """The blocks of ``is_bifree_maxid`` on the ratio lattice ``q`` and the
+    marginal columns ``m1``, ``m2``, one at a time, as ``_worst`` streams
+    them; tags: (check name, index step from the lower to the upper corner).
+    On a one-row or one-column lattice the blocks across it are empty."""
+    for axis, m, step in ((0, m1, (1, 0)), (1, m2, (0, 1))):
+        name = "xy"[axis]
+        d = np.diff(q, axis=axis)
+        yield (f"ratio-increasing-{name}", step), -d
+        d -= np.diff(m, axis=axis)
+        yield (f"ratio-increment-bound-{name}", step), d
+    yield ("ratio-volume", (1, 1)), _cell_volumes(q)
+
+
 def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
     """Decide bi-free max-infinite divisibility on ``grid``, else a grid
     DF's knots, else ``_probe_grid``'s lattice dense at the lower bounds.
@@ -385,21 +399,13 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
             MaxIdWitness("support-rectangle",
                          (float(xs[i]), float(ys[j])),
                          (float(xs[i]), float(ys[j])), float(vals[i, j])))
+    # the blocks below need the ratio lattice alone
+    del vals, rect, mismatch
 
     xs, ys, m1, m2 = xs[p1], ys[p2], m1[p1][:, None], m2[p2][None, :]
     q = np.asarray(F.q_eval(xs[:, None], ys[None, :]))
 
-    # tags: (check name, index step from the lower to the upper corner); on
-    # a one-row or one-column lattice the blocks across it are empty
-    dqx = np.diff(q, axis=0)
-    dqy = np.diff(q, axis=1)
-    worst, tag, at = _worst([
-        (("ratio-increasing-x", (1, 0)), -dqx),
-        (("ratio-increment-bound-x", (1, 0)), dqx - np.diff(m1, axis=0)),
-        (("ratio-increasing-y", (0, 1)), -dqy),
-        (("ratio-increment-bound-y", (0, 1)), dqy - np.diff(m2, axis=1)),
-        (("ratio-volume", (1, 1)), _cell_volumes(q)),
-    ])
+    worst, tag, at = _worst(_ratio_blocks(q, m1, m2))
     # one positive probe point leaves no pair to compare and no margin; only
     # on the knots of a step DF is it a point mass, which is max-i.d.
     if tag is None and not (grid is None and isinstance(F, GridBDF)):

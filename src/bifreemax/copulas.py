@@ -120,10 +120,14 @@ class _FFormCopula(Copula):
     def _eval(self, u, v):
         f = self._f(u, v)
         prod = u * v
+        # the ratio overwrites a writable full-shape f: _pointwise hands such
+        # a result of _f to f_eval's caller as its own, so _f made it fresh
+        full = (isinstance(f, np.ndarray) and f.shape == np.shape(prod)
+                and f.dtype == np.float64 and f.flags.writeable)
         # f can round to 0 next to the origin, where uv / f would be inf;
         # there, and where f is undefined, the value is uv, in [0, min(u, v)];
         # a NaN argument gives NaN, and uv = 0 gives +0.0
-        out = _ratio(prod, f, f > 0, prod)
+        out = _ratio(prod, f, f > 0, prod, out=f if full else None)
         np.copyto(out, 0.0, where=prod <= 0.0)
         return out
 
@@ -487,6 +491,42 @@ class CouplingVerdict:
         return self.member
 
 
+def _difference_blocks(f, us):
+    """The grid-mode blocks of ``check_maxid_coupling``, one at a time:
+    differences of f(u, v) - u along u and of f(u, v) - v along v, and the
+    f-volumes of the cells."""
+    yield (("monotone-difference-u", (us[1:], us)),
+           np.diff(f - us[:, None], axis=0))
+    yield (("monotone-difference-v", (us, us[1:])),
+           np.diff(f - us[None, :], axis=1))
+    yield ("volume", (us[:-1], us[:-1])), _cell_volumes(f)
+
+
+def _derivative_blocks(fe, grid_n):
+    """The smooth-mode blocks of ``check_maxid_coupling``, one at a time:
+    central differences of the denominator ``fe`` with step 1e-5 on
+    ``grid_n`` probes per axis, each accumulated in place."""
+    h = 1e-5
+    ps = np.unique(np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h))
+    P, Q = ps[:, None], ps[None, :]
+    axes = (ps, ps)
+    for name, ahead, behind in (("df/du", (P + h, Q), (P - h, Q)),
+                                ("df/dv", (P, Q + h), (P, Q - h))):
+        d = fe(*ahead)
+        d -= fe(*behind)
+        d /= 2 * h
+        yield (f"{name} lower", axes), -d
+        # its own block: the rounding of d - 1 can tie entries d separates
+        d -= 1.0
+        yield (f"{name} upper", axes), d
+    d = fe(P + h, Q + h)
+    d -= fe(P + h, Q - h)
+    d -= fe(P - h, Q + h)
+    d += fe(P - h, Q - h)
+    d /= 4 * h * h
+    yield ("mixed partial", axes), d
+
+
 def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
     """Decide whether ``C = uv/f`` has a denominator with the structure that
     makes ``C(F1, F2)`` bi-freely max-infinitely divisible.
@@ -516,8 +556,7 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
 
     us = np.linspace(0.0, 1.0, grid_n)[1:]
     U, V = us[:, None], us[None, :]
-    cvals = np.asarray(C.eval(U, V))
-    if np.any(cvals <= 0.0):
+    if np.any(np.asarray(C.eval(U, V)) <= 0.0):
         raise SupportError("copula must be strictly positive on (0, 1]^2")
     f = np.asarray(C.f_eval(U, V))
 
@@ -526,33 +565,15 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
         (("boundary", (us, us[-1:])), np.abs(f[:, -1:] - 1.0)),
         (("boundary", (us[-1:], us)), np.abs(f[-1:, :] - 1.0)),
     ]
-    quantities = []
+    # the blocks stream: _worst reduces each before the next is made, so a
+    # check holds two or three lattices at once, not a dozen; freed
+    # together, a dozen pass the allocator's trim threshold, go back to the
+    # system and fault in again, page by page, on the next check
     if mode == "grid":
-        gu = f - U
-        gv = f - V
-        quantities += [
-            (("monotone-difference-u", (us[1:], us)), np.diff(gu, axis=0)),
-            (("monotone-difference-v", (us, us[1:])), np.diff(gv, axis=1)),
-            (("volume", (us[:-1], us[:-1])), _cell_volumes(f)),
-        ]
+        quantities = _difference_blocks(f, us)
         threshold = tol
     else:
-        h = 1e-5
-        ps = np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h)
-        ps = np.unique(ps)
-        P, Q = ps[:, None], ps[None, :]
-        fe = C.f_eval
-        fu = (fe(P + h, Q) - fe(P - h, Q)) / (2 * h)
-        fv = (fe(P, Q + h) - fe(P, Q - h)) / (2 * h)
-        fuv = (fe(P + h, Q + h) - fe(P + h, Q - h)
-               - fe(P - h, Q + h) + fe(P - h, Q - h)) / (4 * h * h)
-        quantities += [
-            (("df/du lower", (ps, ps)), -fu),
-            (("df/du upper", (ps, ps)), fu - 1.0),
-            (("df/dv lower", (ps, ps)), -fv),
-            (("df/dv upper", (ps, ps)), fv - 1.0),
-            (("mixed partial", (ps, ps)), fuv),
-        ]
+        quantities = _derivative_blocks(C.f_eval, grid_n)
         threshold = max(tol, 1e-7)
 
     bound_q, bound_tag, bound_at = _worst(boundary)

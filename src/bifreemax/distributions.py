@@ -302,24 +302,29 @@ class GridUDF(UnivariateDF):
             raise ValueError("knots and values must be 1-D arrays of equal length")
         if knots.size == 0:
             raise ValueError("grid DF needs at least one knot")
-        _require_finite("knots and values must be finite", knots, values)
-        if np.any(np.diff(knots) <= 0):
+        # min and max pass a NaN on and keep an infinity, so four
+        # reductions test finiteness, and two of them the value range
+        lo, hi = values.min(), values.max()
+        if not all(map(math.isfinite, (knots.min(), knots.max(), lo, hi))):
+            raise ValueError("knots and values must be finite")
+        if not (knots[1:] > knots[:-1]).all():
             raise ValueError("knots must be strictly increasing")
-        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("values must lie in [0, 1]")
-        if np.any(np.diff(values) < -1e-12):
+        if (values[1:] - values[:-1]).min(initial=0.0) < -1e-12:
             raise ValueError("values must be nondecreasing along knots")
         self.knots = knots
         # values[i] applies from knots[i]; the table puts a 0 before them,
         # for queries below the first knot
         self._table = np.zeros(knots.size + 1)
         self.values = np.clip(values, 0.0, 1.0, out=self._table[1:])
+        # the first knot where the values turn positive, and reach 1
         if support_lower is None:
-            pos = np.nonzero(self.values > 0.0)[0]
-            support_lower = knots[pos[0]] if pos.size else np.inf
+            i = np.argmax(self.values > 0.0)
+            support_lower = knots[i] if self.values[i] > 0.0 else np.inf
         if saturation is None:
-            sat = np.nonzero(self.values >= 1.0)[0]
-            saturation = knots[sat[0]] if sat.size else np.inf
+            i = np.argmax(self.values >= 1.0)
+            saturation = knots[i] if self.values[i] >= 1.0 else np.inf
         super().__init__(support_lower, saturation)
 
     def _eval(self, x):
@@ -716,33 +721,38 @@ class QuasiMonotoneResult:
 _PROBE_KNOTS = 81
 
 
-def _span(m):
+def _span(m, *levels):
     """The default knot range of a marginal: from its lower bound to
     saturation, else past the 0.999 quantile by a quarter of the range (at
-    least 0.25), and one unit for a point mass."""
-    lo = m.quantile_exceed(0.0)
+    least 0.25), and one unit for a point mass; then the marginal's
+    quantiles at ``levels``.  One vector ``quantile_exceed`` call finds
+    them all."""
     hi = m.saturation
-    if not np.isfinite(hi):
-        hi = m.quantile_exceed(0.999)
-        hi += 0.25 * max(1.0, abs(hi - lo))
+    bounded = np.isfinite(hi)
+    levels = [0.0, *levels] if bounded else [0.0, *levels, 0.999]
+    lo, *qs = m.quantile_exceed(levels).tolist()
+    if not bounded:
+        top = qs.pop()
+        hi = top + 0.25 * max(1.0, abs(top - lo))
     if hi <= lo:
         hi = lo + 1.0
-    return lo, hi
+    return (lo, hi, *qs)
 
 
 def _probe_grid(F, grid):
     """The probe lattice of a grid decision: ``grid``, else the knots of a
     grid DF, else ``_PROBE_KNOTS`` knots per axis on each marginal's
     ``_span``: 61 from the lower bound to the 0.9 quantile, spaced
-    quadratically to crowd the lower bound, then 20 evenly to the span's end."""
+    quadratically to crowd the lower bound, then 20 evenly to the span's end.
+    The span and the 0.9 quantile take one ``quantile_exceed`` call per
+    axis."""
     if grid is not None:
         return _as_float_array(grid[0]), _as_float_array(grid[1])
     if isinstance(F, GridBDF):
         return F.xknots, F.yknots
-    knots = []
-    for m in (F.marginal1, F.marginal2):
-        lo, hi = _span(m)
-        mid = m.quantile_exceed(0.9)
+
+    def knots(m):
+        lo, hi, mid = _span(m, 0.9)
         if mid <= lo:
             mid = lo + 0.5 * max(hi - lo, 1.0)
         if hi <= mid:
@@ -750,15 +760,21 @@ def _probe_grid(F, grid):
         s = np.linspace(0.0, 1.0, _PROBE_KNOTS - _PROBE_KNOTS // 4)
         head = lo + (mid - lo) * s ** 2
         tail = np.linspace(mid, hi, _PROBE_KNOTS // 4 + 1)[1:]
-        knots.append(np.concatenate([head, tail]))
-    return knots[0], knots[1]
+        return np.concatenate([head, tail])
+
+    return knots(F.marginal1), knots(F.marginal2)
 
 
 def _worst(blocks):
     """``(value, tag, index)`` of the largest entry across ``(tag, array)``
     blocks, or ``(-inf, None, None)`` when all are empty.  A NaN is the
     largest entry, so what a check could not compute never passes it; ties
-    go to the first maximum."""
+    go to the first maximum.
+
+    ``blocks`` is any iterable, consumed in order: each block is reduced and
+    let go before the next is asked for, so a generator that makes its
+    blocks one at a time keeps one of them alive, and a NaN stops it early.
+    """
     worst = (-np.inf, None, None)
     for tag, arr in blocks:
         arr = np.asarray(arr)
@@ -770,6 +786,7 @@ def _worst(blocks):
                 return value, tag, at
             if value > worst[0]:
                 worst = (value, tag, at)
+        del arr
     return worst
 
 

@@ -339,10 +339,13 @@ class BiFreeCopula(_FFormCopula):
 
     def _f(self, u, v):
         den = 2.0 - u - v
-        # the argument lies in [0, 1] exactly; clip cancellation noise in den
-        t = np.clip(_ratio(1.0 - u, den, den > 0.0, 0.5), 0.0, 1.0)
+        # the argument lies in [0, 1] exactly; clip cancellation noise in den,
+        # in place, and hand it to the Pickands closure, which then needs no
+        # range check or clip copy of its own
+        t = _ratio(1.0 - u, den, den > 0.0, 0.5)
+        np.clip(t, 0.0, 1.0, out=t)
         # at (1,1) the products vanish and f = -1 + u + v = 1 by continuity
-        return -1.0 + u + v + den * np.asarray(self.pickands.eval(t))
+        return -1.0 + u + v + den * np.asarray(self.pickands._fn(t))
 
 
 class GumbelMixedCopula(BiFreeCopula):

@@ -524,7 +524,7 @@ class GridBDF(BivariateDF):
         lo, hi = values.min(initial=0.0), values.max(initial=0.0)
         _require_finite("knots and values must be finite",
                         self.xknots, self.yknots, lo, hi)
-        if np.any(np.diff(self.xknots) <= 0) or np.any(np.diff(self.yknots) <= 0):
+        if not all((k[1:] > k[:-1]).all() for k in (self.xknots, self.yknots)):
             raise ValueError("knots must be strictly increasing")
         if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValueError("values must lie in [0, 1]")

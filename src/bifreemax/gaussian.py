@@ -122,6 +122,12 @@ def _weight(phi):
     return 4.0 * np.cos(phi) ** 2
 
 
+# integrand values _weighted_kernel forms and reciprocates at a time (256 KB
+# of float64), so each chunk is still in cache for its reciprocal; 2^16 was
+# as fast on blocks 1504 to 2560 nodes wide and 20% slower on 960-wide ones
+_CHUNK = 1 << 15
+
+
 def _weighted_kernel(c, scale):
     """The integrand scale * w(s) w(t) / D_c(s, t) of phi and psi, with
     s = 2 sin(phi), t = 2 sin(psi) and w the semicircle weight times the
@@ -131,9 +137,11 @@ def _weighted_kernel(c, scale):
     D_c(s, t) = (k0 + k2 s^2) * 1 + 1 * (k2 t^2) + (-k1 s) * t has rank 3,
     and so has its quotient by scale * w(s) w(t): each factor is divided by
     its own axis weight, and scale goes into the s factors.  The integrand
-    builds the (n, 3) and (3, m) factor matrices on the axes, forms the
-    block as one matrix product and takes its reciprocal in place, two
-    passes at the full tensor size.
+    builds the (n, 3) and (3, m) factor matrices on the axes and writes the
+    block into one preallocated array, in chunks of at least two rows and
+    about ``_CHUNK`` values: each chunk is one matrix product and then its
+    reciprocal in place, taken while the chunk is still in cache.  The
+    values have the bits of one product over the whole block.
     """
     k0, k1, k2 = (1.0 - c * c) ** 2, c * (1.0 + c * c), c * c
 
@@ -145,8 +153,17 @@ def _weighted_kernel(c, scale):
         left = np.stack([k0 + k2 * s * s, np.ones_like(s), -k1 * s], axis=1)
         left /= (scale * _weight(phi))[:, None]
         right = np.stack([np.ones_like(t), k2 * t * t, t]) / _weight(psi)
-        d = left @ right
-        np.reciprocal(d, out=d)
+        d = np.empty((s.size, t.size))
+        step = max(2, _CHUNK // max(t.size, 1))
+        lo = 0
+        while lo < s.size:
+            # no one-row chunk in a larger block: numpy takes a one-row
+            # product as a matrix-vector product, whose bits differ
+            hi = lo + step if s.size - lo > step + 1 else s.size
+            chunk = d[lo:hi]
+            np.matmul(left[lo:hi], right, out=chunk)
+            np.reciprocal(chunk, out=chunk)
+            lo = hi
         return d.reshape(shape)
 
     return integrand

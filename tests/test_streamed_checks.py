@@ -6,8 +6,10 @@ that make each block, let it be reduced and drop it before the next.  The
 list-based versions they replace are kept here as oracles: every verdict
 must come out ``repr``-identical.  A tracemalloc bound pins the fewer live
 lattices.  ``_probe_grid`` finds each marginal's span and 0.9 quantile with
-one vector ``quantile_exceed`` call, and ``GridUDF`` validates with a few
-reductions; both are compared with the code they replace.
+one vector ``quantile_exceed`` call, ``GridUDF`` and ``GridBDF`` validate with
+a few reductions, and ``BiFreeCopula`` hands its clipped Pickands argument
+straight to the Pickands closure; each is compared with the code it
+replaces.
 """
 
 import gc
@@ -45,6 +47,7 @@ from bifreemax import (
     is_bifree_maxid,
     marshall_olkin_pickands,
     pareto_free_df,
+    pickands_from_measure,
     power_transform,
     uniform_df,
 )
@@ -55,6 +58,7 @@ from bifreemax.distributions import (
     _as_float_array,
     _cell_volumes,
     _probe_grid,
+    _ratio,
     _worst,
 )
 
@@ -508,6 +512,41 @@ def test_law_decision_holds_few_lattices(name):
     assert peak <= 8 * LATTICE_81, peak / LATTICE_81
 
 
+def oracle_bifree_f(C, u, v):
+    """``BiFreeCopula._f`` through ``PickandsFn.eval``, whose range check and
+    clip copy repeat the clip of the argument."""
+    den = 2.0 - u - v
+    t = np.clip(_ratio(1.0 - u, den, den > 0.0, 0.5), 0.0, 1.0)
+    return -1.0 + u + v + den * np.asarray(C.pickands.eval(t))
+
+
+BIFREE = [GumbelMixedCopula(0.6), LogisticCopula(2.0)]
+
+
+@pytest.mark.parametrize("C", BIFREE, ids=_copula_id)
+def test_bifree_denominator_holds_few_lattices(C):
+    # through PickandsFn.eval the denominator peaked at 7 lattices
+    us = np.linspace(0.0, 1.0, 101)
+    peak = _peak_bytes(lambda: C.f_eval(us[:, None], us[None, :]))
+    assert peak <= 6.5 * LATTICE_101, peak / LATTICE_101
+
+
+@pytest.mark.parametrize("C", BIFREE + [
+    BiFreeCopula(marshall_olkin_pickands(0.3, 0.8)),
+    BiFreeCopula(pickands_from_measure(DiscreteMeasure(
+        [[0.25, 0.75], [0.75, 0.25]], [1.0, 1.0])))], ids=_copula_id)
+def test_bifree_denominator_bits(C):
+    us = np.concatenate(([0.0, 1e-300, 0.5 - 1e-17, 1.0 - 1e-16, 1.0, math.nan],
+                         np.linspace(0.0, 1.0, 41)))
+    u, v = us[:, None], us[None, :]
+    assert np.array_equal(C.f_eval(u, v), oracle_bifree_f(C, u, v),
+                          equal_nan=True)
+    for a, b in [(0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (math.nan, 0.5)]:
+        got = C.f_eval(a, b)
+        ref = float(oracle_bifree_f(C, np.asarray(a), np.asarray(b)))
+        assert isinstance(got, float) and repr(got) == repr(ref)
+
+
 # ---------------------------------------------------------------------------
 # the default probe lattice: one vector quantile call per marginal
 # ---------------------------------------------------------------------------
@@ -648,3 +687,77 @@ def test_grid_udf_default_bounds():
                              [0.1, 1.0, 1.0 - 1e-13, 1.0]) == (0.0, 1.0)
     F = GridUDF([0.0, 1.0], [0.2, 0.7], support_lower=-1.0, saturation=5.0)
     assert (F.support_lower, F.saturation) == (-1.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# GridBDF validation
+# ---------------------------------------------------------------------------
+
+def oracle_grid_bdf(xknots, yknots, values):
+    """The validation of ``GridBDF`` with ``np.diff``: an error message, or
+    None for a grid it accepts."""
+    xk = np.atleast_1d(_as_float_array(xknots))
+    yk = np.atleast_1d(_as_float_array(yknots))
+    values = _as_float_array(values)
+    if values.shape != (xk.size, yk.size):
+        return "values must have shape (len(xknots), len(yknots))"
+    if not all(np.all(np.isfinite(a)) for a in (xk, yk, values)):
+        return "knots and values must be finite"
+    if np.any(np.diff(xk) <= 0) or np.any(np.diff(yk) <= 0):
+        return "knots must be strictly increasing"
+    if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
+        return "values must lie in [0, 1]"
+    return None
+
+
+def _grid_bdf_outcome(xknots, yknots, values):
+    m = uniform_df()
+    try:
+        GridBDF(m, m, xknots, yknots, values)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# repeated knots, NaN and infinities among plain ones
+knot = st.one_of(st.sampled_from([0.0, 1.0, 1.0, math.nan, math.inf,
+                                  -math.inf]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def grid_bdf_cases(draw):
+    nx, ny = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    xk = draw(st.lists(knot, min_size=nx, max_size=nx))
+    yk = draw(st.lists(knot, min_size=ny, max_size=ny))
+    order = draw(st.sampled_from(["sorted", "decreasing", "drawn"]))
+    if order == "sorted":
+        # mostly well-formed knots, so the later checks are reached; a
+        # repeated knot stays repeated
+        xk, yk = sorted(xk), sorted(yk)
+    elif order == "decreasing":
+        xk, yk = sorted(xk, reverse=True), sorted(yk, reverse=True)
+    flat = draw(st.lists(value, min_size=nx * ny, max_size=nx * ny))
+    values = np.reshape(np.asarray(flat, dtype=np.float64), (nx, ny))
+    if draw(st.booleans()):
+        values = values.T
+    return xk, yk, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_bdf_cases())
+def test_grid_bdf_checks_match_the_oracle(case):
+    assert _grid_bdf_outcome(*case) == oracle_grid_bdf(*case)
+
+
+@pytest.mark.parametrize("xknots, yknots, message", [
+    ([0.0, 0.0], [0.0, 1.0], "knots must be strictly increasing"),
+    ([0.0, 1.0], [1.0, 1.0], "knots must be strictly increasing"),
+    ([1.0, 0.0], [0.0, 1.0], "knots must be strictly increasing"),
+    ([0.0, 1.0], [2.0, 1.0], "knots must be strictly increasing"),
+    ([0.0, math.nan], [0.0, 1.0], "knots and values must be finite"),
+    ([0.0, 1.0], [math.nan, math.nan], "knots and values must be finite"),
+])
+def test_grid_bdf_knot_messages(xknots, yknots, message):
+    values = np.full((2, 2), 0.5)
+    assert _grid_bdf_outcome(xknots, yknots, values) == message
+    assert oracle_grid_bdf(xknots, yknots, values) == message

@@ -5,17 +5,18 @@ artifacts: ``convolve``, ``power``, ``transform``, ``check``, ``build``,
 ``gaussian``, ``experiment``.  Verdict-producing commands exit 0 for a
 positive verdict (member / yes / maxid), 1 for a negative one, and 2 for
 inconclusive.  Malformed specs or inputs (a ``frechet`` or ``weibull``
-alpha <= 0 among them) exit 4 with a diagnostic on stderr, as do runs that
-could cover nothing: an empty or non-positive ``--ns``, ``--grid`` below 3
-for ``check copula`` or below 2 for ``check copula-axioms``, ``check
-maxid`` with neither a spec nor ``--gaussian``, ``experiment
-compound-poisson --max-log2`` below 1, and ``gaussian density`` or
-``gaussian cdf`` with ``--resolution`` below 2, or for ``gaussian cdf``
-too coarse to resolve the kernel near |c| = 1.  A ``gaussian``
-correlation that is NaN or has |c| >= 1 (except for ``verdict``, which
-decides c = -1 and c = 1) and a non-finite or out-of-square ``identity
---xs`` point exit 4 too (argparse usage errors keep the stdlib exit code
-2).
+alpha <= 0 among them) exit 4 with a diagnostic on stderr, as does
+``convolve --free`` with ``--csv`` (a univariate DF has no surface) and as
+do runs that could cover nothing: an empty or non-positive ``--ns``,
+``--grid`` below 3 for ``check copula`` or below 2 for ``check
+copula-axioms``, ``check maxid`` with neither a spec nor ``--gaussian``,
+``experiment compound-poisson --max-log2`` below 1, and ``gaussian
+density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
+``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A
+``gaussian`` correlation that is NaN or has |c| >= 1 (except for
+``verdict``, which decides c = -1 and c = 1) and a non-finite or
+out-of-square ``identity --xs`` point exit 4 too (argparse usage errors
+keep the stdlib exit code 2).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from . import extremes as ex
 from . import gaussian as ga
 from .distributions import CoupledBDF, GridBDF, GridUDF, _span, materialize
 from .serialize import (
+    _grid2d_obj,
+    _Texts,
     bdf_to_obj,
     dump_json,
     fmt,
@@ -104,11 +107,23 @@ def _marginal_summary(tag, m):
             f"{fmt(sat) if np.isfinite(sat) else 'inf'}")
 
 
+def _write_grid(args, F):
+    """Write a grid DF's JSON (``-o``) and its surface CSV (``--csv``, where
+    the subcommand has one), both from one text table of its values."""
+    csv_path = getattr(args, "csv", None)
+    if not (args.output or csv_path):
+        return
+    texts = _Texts(F.values)
+    if args.output:
+        dump_json(_grid2d_obj(F, texts), _out_path(args, args.output))
+    if csv_path:
+        write_surface_csv(_out_path(args, csv_path), F.xknots, F.yknots, texts)
+
+
 def _emit_bdf(args, F):
     print(_marginal_summary("marginal1", F.marginal1))
     print(_marginal_summary("marginal2", F.marginal2))
-    if args.output:
-        dump_json(bdf_to_obj(F), _out_path(args, args.output))
+    _write_grid(args, F)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +132,9 @@ def _emit_bdf(args, F):
 
 def _cmd_convolve(args):
     if args.free:
+        if args.csv:
+            raise SpecError("--csv writes a surface; --free gives a "
+                            "univariate DF")
         f = parse_marginal(args.a)
         g = parse_marginal(args.b)
         h = cv.free_maxconv(f, g)
@@ -130,11 +148,7 @@ def _cmd_convolve(args):
         return 0
     F = parse_bdf(args.a)
     G = F if args.b == args.a else parse_bdf(args.b)
-    H = cv.bifree_maxconv(F, G)
-    _emit_bdf(args, H)
-    if args.csv:
-        write_surface_csv(_out_path(args, args.csv), H.xknots, H.yknots,
-                          H.values)
+    _emit_bdf(args, cv.bifree_maxconv(F, G))
     return 0
 
 
@@ -243,12 +257,7 @@ def _cmd_gaussian(args):
                           knots, knots, vals)
         return 0
     if args.what == "cdf":
-        F = ga.cdf_grid(c, resolution=args.resolution)
-        if args.output:
-            dump_json(bdf_to_obj(F), _out_path(args, args.output))
-        if args.csv:
-            write_surface_csv(_out_path(args, args.csv), F.xknots, F.yknots,
-                              F.values)
+        _write_grid(args, ga.cdf_grid(c, resolution=args.resolution))
         return 0
     if args.what == "identity":
         xs = _floats(args.xs)

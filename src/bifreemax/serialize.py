@@ -14,17 +14,23 @@ with header ``x,y,value`` in row-major order; all floats use round-trip
 artifacts.
 
 ``dump_json`` writes exactly the bytes of ``json.dump(obj, fh, indent=2)``
-followed by a newline.  It lays out dicts and nested lists itself and hands
-each flat list of scalars to the C encoder of ``json.dumps``, which
-``json.dump`` does not use once ``indent`` is set.  The CSV writers format
-each axis value once, not once per cell, and the CLI prints its CSV to
-stdout through the same line formatters.
+followed by a newline, and lays the object out itself.  Every float array
+of an artifact is formatted through one text table (``_Texts``): a flat
+list of floats, or a list of equal-length flat lists of floats, is
+formatted once per distinct value (told apart by bit pattern) with
+``float.__repr__``, the text the stdlib encoder writes for a finite float,
+and each cell takes its text from the table.  Other flat lists go to the C
+encoder of ``json.dumps``.  ``surface_csv_lines`` takes its cells from the
+same table, and a caller that writes one surface as JSON and as CSV builds
+the table once and passes it to both writers in place of the values.  The
+CLI prints its CSV to stdout through the same line formatters.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 
 import numpy as np
 
@@ -56,6 +62,69 @@ def fmt(v):
 def _floats(a):
     """An array as nested lists of Python floats."""
     return np.asarray(a, dtype=float).tolist()
+
+
+# the JSON texts of the non-finite floats, which float.__repr__ spells
+# nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NAN_BITS = np.float64(np.nan).view(np.int64)
+
+
+class _Texts:
+    """The texts of a float array, each distinct value formatted once.
+
+    Values are told apart by their bit pattern, so ``-0.0`` and ``0.0`` keep
+    their own texts, and every NaN payload shares the one text ``nan``.
+    ``rows`` gathers the texts back into the array's rows.
+    """
+
+    __slots__ = ("shape", "_index", "_reprs", "_nonfinite")
+
+    def __init__(self, values):
+        a = np.asarray(values, dtype=float)
+        bits = a.view(np.int64)
+        nan = np.isnan(a)
+        if nan.any():
+            bits = np.where(nan, _NAN_BITS, bits)
+        # a sort and a search: np.unique's hash path is slower here, and its
+        # inverse holds several more arrays of the full size
+        keys = np.sort(bits, axis=None)
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        self.shape = a.shape
+        self._index = np.searchsorted(keys, bits)
+        keys = keys.view(float)
+        self._reprs = np.array(list(map(float.__repr__, keys.tolist())),
+                               dtype=object)
+        self._nonfinite = np.flatnonzero(~np.isfinite(keys))
+
+    def rows(self, for_json=False):
+        """Each row's texts as a list of str (a 1-D array is one row);
+        ``for_json`` spells NaN and +-inf ``NaN``, ``Infinity`` and
+        ``-Infinity``."""
+        texts = self._reprs
+        if for_json and self._nonfinite.size:
+            texts = texts.copy()
+            for k in self._nonfinite:
+                texts[k] = _JSON_NONFINITE[texts[k]]
+        for index in np.atleast_2d(self._index):
+            yield texts[index].tolist()
+
+
+def _float_texts(items):
+    """The text table of a flat list of floats, or of a list of equal-length
+    non-empty flat lists of floats; None for any other non-empty list."""
+    cells = items
+    if isinstance(items[0], (list, tuple)):
+        width = len(items[0])
+        if not width or any(not isinstance(row, (list, tuple))
+                            or len(row) != width for row in items):
+            return None
+        cells = itertools.chain.from_iterable(items)
+    if not all(issubclass(t, float) for t in set(map(type, cells))):
+        return None
+    return _Texts(items)
 
 
 def _opt(v):
@@ -96,13 +165,19 @@ def bdf_to_obj(F, xknots=None, yknots=None):
         if xknots is None or yknots is None:
             raise ValueError("sampling knots required to serialize a closed form")
         F = materialize(F, xknots, yknots)
+    return _grid2d_obj(F, _floats(F.values))
+
+
+def _grid2d_obj(F, values):
+    """The ``grid2d`` object of a ``GridBDF`` with ``values`` as its surface:
+    nested lists, or the ``_Texts`` of ``F.values``."""
     m1 = udf_to_obj(F.marginal1, F.xknots)
     m2 = udf_to_obj(F.marginal2, F.yknots)
     return {
         "kind": "grid2d",
         "L": [m1["L"], m2["L"]],
         "knots": [_floats(F.xknots), _floats(F.yknots)],
-        "values": _floats(F.values),
+        "values": values,
         "marginals": [m1, m2],
     }
 
@@ -161,9 +236,31 @@ def _key_text(key):
                     f"not {key.__class__.__name__}")
 
 
+def _block(texts, pad):
+    """Encoded items laid out one per line in brackets at indent ``pad``."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
 def _write_json(obj, write, pad):
-    """Write ``obj`` as ``json.dump(indent=2)`` does, at indent ``pad``."""
-    if isinstance(obj, dict):
+    """Write ``obj`` as ``json.dump(indent=2)`` does, at indent ``pad``.
+
+    A non-empty 1-D or 2-D ``_Texts`` stands for the nested lists of its
+    values."""
+    if isinstance(obj, (list, tuple)) and obj:
+        obj = _float_texts(obj) or obj
+    if isinstance(obj, _Texts):
+        rows = obj.rows(for_json=True)
+        if len(obj.shape) == 1:
+            write(_block(next(rows), pad))
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for texts in rows:
+            write(sep + _block(texts, inner))
+            sep = ",\n" + inner
+        write("\n" + pad + "]")
+    elif isinstance(obj, dict):
         if not obj:
             write("{}")
             return
@@ -185,8 +282,7 @@ def _write_json(obj, write, pad):
             # (a non-empty dict shows a quote), the one-line text splits
             # into the indented layout at every ", "
             if text.find("[", 1) < 0 and '"' not in text:
-                write("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner)
-                      + "\n" + pad + "]")
+                write(_block(text[1:-1].split(", "), pad))
                 return
         sep = "[\n" + inner
         for value in obj:
@@ -208,17 +304,21 @@ def dump_json(obj, path):
 def surface_csv_lines(xs, ys, values):
     """The lines of a surface CSV: the header, then one string per x.
 
-    Raises ``ValueError`` unless ``values`` has shape ``(len(xs), len(ys))``.
+    ``values`` is an array or the ``_Texts`` of one.  Raises ``ValueError``
+    unless it has shape ``(len(xs), len(ys))``.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(xs), len(ys)):
-        raise ValueError(f"surface values have shape {values.shape}, the "
+    texts = values if isinstance(values, _Texts) else _Texts(values)
+    if texts.shape != (len(xs), len(ys)):
+        raise ValueError(f"surface values have shape {texts.shape}, the "
                          f"axes need ({len(xs)}, {len(ys)})")
     ycells = [fmt(y) + "," for y in ys]
-    rows = ("".join([f"{x},{yc}{v!r}\n"
-                     for yc, v in zip(ycells, row.tolist())])
-            for x, row in zip(map(fmt, xs), values))
-    return itertools.chain(["x,y,value\n"], rows)
+
+    def row(x, cells):
+        head = fmt(x) + ","
+        body = ("\n" + head).join(map(operator.add, ycells, cells))
+        return head + body + "\n" if body else ""
+
+    return itertools.chain(["x,y,value\n"], map(row, xs, texts.rows()))
 
 
 def write_surface_csv(path, xs, ys, values):

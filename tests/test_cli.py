@@ -67,6 +67,14 @@ class TestConvolve:
         h = load_json(out)
         assert h.eval(0.75) == pytest.approx(0.5, abs=1e-2)
 
+    def test_free_convolution_refuses_a_surface_csv(self, tmp_path, capsys):
+        csv = tmp_path / "h.csv"
+        code = main(["convolve", "--free", "uniform:0,1", "uniform:0,1",
+                     "--csv", str(csv)])
+        assert code == 4
+        assert "--csv writes a surface" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_surface_csv(self, law_file, tmp_path, capsys):
         path, _ = law_file
         csv = tmp_path / "h.csv"

@@ -40,6 +40,7 @@ from .distributions import (
     GridUDF,
     SupportError,
     UnivariateDF,
+    _CHUNK,
     _cell_volumes,
     _nan_queries,
     _probe_grid,
@@ -49,7 +50,6 @@ from .distributions import (
     bdf_from_law,
     grid_probe,
     law_from_bdf,
-    materialize,
     ones_df,
 )
 
@@ -184,12 +184,47 @@ class ConvolvedBDF(RatioBDF):
         return q
 
 
+def _grid_reads(P: GridBDF, xk, yk):
+    """What the ratio of the step DF ``P`` needs on the lattice ``xk`` x
+    ``yk``, found once per convolution: P's table, the counts of P's knots
+    at or below each lattice coordinate, P's marginals on the lattice axes,
+    and the first row and column past the lattice of P and a marginal's
+    saturation point, from which on ``GridBDF._eval`` reads the other
+    marginal."""
+    return (P._table, np.searchsorted(P.xknots, xk, side="right"),
+            np.searchsorted(P.yknots, yk, side="right"),
+            P.marginal1.eval(xk), P.marginal2.eval(yk),
+            max(xk.searchsorted(P.xknots[-1], side="right"),
+                xk.searchsorted(P.marginal1.saturation)),
+            max(yk.searchsorted(P.yknots[-1], side="right"),
+                yk.searchsorted(P.marginal2.saturation)))
+
+
+def _grid_q(reads, lo, hi):
+    """The ratio Q = P1*P2/P of a step DF on the lattice rows ``lo:hi``, to
+    the bit what ``P._q`` gives there: the surface is gathered with two
+    axis takes, and its saturated rows, then columns, are overwritten."""
+    table, ix, iy, m1, m2, i, j = reads
+    f = table.take(ix[lo:hi], axis=0).take(iy, axis=1)
+    if i < hi:
+        f[max(i - lo, 0):] = m2
+    if j < m2.size:
+        f[:, j:] = m1[lo:hi, None]
+    num = np.multiply(m1[lo:hi, None], m2)
+    return _ratio(num, f, f > 0, np.inf, out=num)
+
+
 def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
     """Bi-free max-convolution of two bivariate DFs.
 
-    For two grid-backed inputs the result is materialized exactly on the
-    union of the knot sets (the defining identities are pointwise, so no
-    resampling occurs); otherwise a lazy closed form is returned.
+    For two grid-backed inputs the result is exact on the union of the knot
+    sets (the defining identities are pointwise, so no resampling occurs):
+    ``H1*H2/(Q_F + Q_G - 1)`` with the bits of ``ConvolvedBDF``, computed in
+    blocks of about ``_CHUNK`` values, a run of whole lattice rows each.
+    Each block is written into the result's zero-bordered table, which the
+    ``GridBDF`` takes over: that table is the one lattice-sized array of the
+    call, and every other buffer is the size of a block.  Otherwise a lazy
+    closed form is returned.
     """
     if isinstance(F, GridBDF) and isinstance(G, GridBDF):
         xk = np.union1d(F.xknots, G.xknots)
@@ -201,7 +236,24 @@ def bifree_maxconv(F: BivariateDF, G: BivariateDF) -> BivariateDF:
         for m in (F.marginal2, G.marginal2):
             if isinstance(m, GridUDF):
                 yk = np.union1d(yk, m.knots)
-        return materialize(ConvolvedBDF(F, G), xk, yk)
+        H1 = free_maxconv(F.marginal1, G.marginal1)
+        H2 = free_maxconv(F.marginal2, G.marginal2)
+        reads = [_grid_reads(P, xk, yk) for P in (F, G)]
+        h1, h2 = H1.eval(xk)[:, None], H2.eval(yk)
+        table = np.zeros((xk.size + 1, yk.size + 1))
+        step = max(1, _CHUNK // yk.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, xk.size, step):
+                hi = lo + step
+                # ConvolvedBDF._q and RatioBDF._eval, in their order
+                q = _grid_q(reads[0], lo, hi)
+                q += _grid_q(reads[1], lo, hi)
+                q -= 1.0
+                h = np.multiply(h1[lo:hi], h2, out=table[1 + lo:1 + hi, 1:])
+                live = np.isfinite(q)
+                live &= h > 0
+                _ratio(h, q, live, 0.0, out=h)
+        return GridBDF._adopt(H1, H2, xk, yk, table)
     return ConvolvedBDF(F, G)
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import product_ratio, tail_functional
-from .distributions import (GridBDF, _as_float_array, _pointwise, _worst,
-                            semicircle_df)
+from .distributions import (_CHUNK, GridBDF, _as_float_array, _pointwise,
+                            _worst, semicircle_df)
 from .quadrature import adaptive_panels, panel_nodes, tensor_cells
 
 __all__ = [
@@ -120,12 +120,6 @@ def _phi_edges_from_knots(knots):
 def _weight(phi):
     """sqrt(4 - s^2) times the Jacobian 2 cos(phi) of s = 2 sin(phi)."""
     return 4.0 * np.cos(phi) ** 2
-
-
-# integrand values _weighted_kernel forms and reciprocates at a time (256 KB
-# of float64), so each chunk is still in cache for its reciprocal; 2^16 was
-# as fast on blocks 1504 to 2560 nodes wide and 20% slower on 960-wide ones
-_CHUNK = 1 << 15
 
 
 def _weighted_kernel(c, scale):

@@ -192,6 +192,8 @@ def bdf_from_obj(obj):
         m2 = udf_from_obj(obj["marginals"][1])
     else:
         # derive marginals from the outer row/column of the surface
+        if vals.ndim != 2 or vals.size == 0:
+            raise ValueError("grid2d values must be a nonempty 2-D table")
         m1 = GridUDF(xk, vals[:, -1])
         m2 = GridUDF(yk, vals[-1, :])
     return GridBDF(m1, m2, xk, yk, vals)

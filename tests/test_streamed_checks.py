@@ -701,6 +701,8 @@ def oracle_grid_bdf(xknots, yknots, values):
     values = _as_float_array(values)
     if values.shape != (xk.size, yk.size):
         return "values must have shape (len(xknots), len(yknots))"
+    if xk.size == 0 or yk.size == 0:
+        return "grid DF needs at least one knot"
     if not all(np.all(np.isfinite(a)) for a in (xk, yk, values)):
         return "knots and values must be finite"
     if np.any(np.diff(xk) <= 0) or np.any(np.diff(yk) <= 0):

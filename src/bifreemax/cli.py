@@ -9,7 +9,8 @@ alpha <= 0 among them) exit 4 with a diagnostic on stderr, as does
 ``convolve --free`` with ``--csv`` (a univariate DF has no surface) and as
 do runs that could cover nothing: an empty or non-positive ``--ns``,
 ``--grid`` below 3 for ``check copula`` or below 2 for ``check
-copula-axioms``, ``check maxid`` with neither a spec nor ``--gaussian``,
+copula-axioms``, a negative or NaN ``--tol`` for a ``check`` that takes
+one, ``check maxid`` with neither a spec nor ``--gaussian``,
 ``experiment compound-poisson --max-log2`` below 1, and ``gaussian
 density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
 ``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A

@@ -46,6 +46,7 @@ from .distributions import (
     _probe_grid,
     _pointwise,
     _ratio,
+    _require_tol,
     _worst,
     bdf_from_law,
     grid_probe,
@@ -427,6 +428,7 @@ def is_bifree_maxid(F: BivariateDF, tol=1e-9, grid=None):
     probes are a step DF's own knots (a point mass, "yes" with no margin).
     Continuity from above is supplied by the step-grid convention.
     """
+    _require_tol(tol)
     for m, name in ((F.marginal1, "x"), (F.marginal2, "y")):
         # trust the declared bound: probing cannot tell a true lower
         # endpoint from floating-point underflow of an unbounded tail
@@ -612,6 +614,7 @@ def classical_maxid_check(F: BivariateDF, ns=(2, 3, 10), tol=1e-12, grid=None):
     ns = tuple(ns)
     if not ns or not all(n > 0 for n in ns):
         raise ValueError(f"ns must hold positive root orders, got {ns}")
+    _require_tol(tol)
     xs, ys = _probe_grid(F, grid)
     vals = np.asarray(F.eval(xs[:, None], ys[None, :]))
     for n in ns:

@@ -17,6 +17,8 @@ monotone-difference and reverse quasi-monotone structure which makes
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .distributions import (
     _pointwise,
     _ratio,
     _require_finite,
+    _require_tol,
     _worst,
 )
 
@@ -124,12 +127,19 @@ class _FFormCopula(Copula):
         # a result of _f to f_eval's caller as its own, so _f made it fresh
         full = (isinstance(f, np.ndarray) and f.shape == np.shape(prod)
                 and f.dtype == np.float64 and f.flags.writeable)
-        # f can round to 0 next to the origin, where uv / f would be inf;
-        # there, and where f is undefined, the value is uv, in [0, min(u, v)];
-        # a NaN argument gives NaN, and uv = 0 gives +0.0
-        out = _ratio(prod, f, f > 0, prod, out=f if full else None)
-        np.copyto(out, 0.0, where=prod <= 0.0)
-        return out
+        return _uv_over_f(prod, f, out=f if full else None)
+
+
+def _uv_over_f(prod, f, out=None):
+    """The copula values uv / f of a ratio form from ``prod = uv`` and f,
+    written to ``out`` (a fresh array when None), which must not be
+    ``prod``."""
+    # f can round to 0 next to the origin, where uv / f would be inf;
+    # there, and where f is undefined, the value is uv, in [0, min(u, v)];
+    # a NaN argument gives NaN, and uv = 0 gives +0.0
+    out = _ratio(prod, f, f > 0, prod, out=out)
+    np.copyto(out, 0.0, where=prod <= 0.0)
+    return out
 
 
 class IndependenceCopula(_FFormCopula):
@@ -505,16 +515,38 @@ def _difference_blocks(f, us):
     yield ("volume", (us[:-1], us[:-1])), _cell_volumes(f)
 
 
-def _derivative_blocks(fe, grid_n):
+# the step of the smooth-mode central differences
+_STEP = 1e-5
+
+
+@functools.cache
+def _probe_axes(grid_n, stencil):
+    """The probe axes of ``check_maxid_coupling`` at ``grid_n``, read-only
+    and shared by every check: ``us``, the lattice axis over (0, 1], and
+    with ``stencil`` also ``ps``, the derivative probes clipped into
+    [2 * _STEP, 1 - _STEP], and ``ps + _STEP`` and ``ps - _STEP`` as
+    columns and as rows."""
+    h = _STEP
+    us = np.linspace(0.0, 1.0, grid_n)[1:]
+    axes = [us]
+    if stencil:
+        ps = np.unique(np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h))
+        P, Q = ps[:, None], ps[None, :]
+        axes += [ps, P + h, P - h, Q + h, Q - h]
+    for a in axes:
+        a.flags.writeable = False
+    return tuple(axes)
+
+
+def _derivative_blocks(fe, ps, P_ahead, P_behind, Q_ahead, Q_behind):
     """The smooth-mode blocks of ``check_maxid_coupling``, one at a time:
-    central differences of the denominator ``fe`` with step 1e-5 on
-    ``grid_n`` probes per axis, each accumulated in place."""
-    h = 1e-5
-    ps = np.unique(np.clip(np.linspace(0.0, 1.0, grid_n), 2 * h, 1.0 - h))
+    central differences of the denominator ``fe`` with step ``_STEP`` on
+    the stencil of ``_probe_axes``, each accumulated in place."""
+    h = _STEP
     P, Q = ps[:, None], ps[None, :]
     axes = (ps, ps)
-    for name, ahead, behind in (("df/du", (P + h, Q), (P - h, Q)),
-                                ("df/dv", (P, Q + h), (P, Q - h))):
+    for name, ahead, behind in (("df/du", (P_ahead, Q), (P_behind, Q)),
+                                ("df/dv", (P, Q_ahead), (P, Q_behind))):
         d = fe(*ahead)
         d -= fe(*behind)
         d /= 2 * h
@@ -522,10 +554,10 @@ def _derivative_blocks(fe, grid_n):
         # its own block: the rounding of d - 1 can tie entries d separates
         d -= 1.0
         yield (f"{name} upper", axes), d
-    d = fe(P + h, Q + h)
-    d -= fe(P + h, Q - h)
-    d -= fe(P - h, Q + h)
-    d += fe(P - h, Q - h)
+    d = fe(P_ahead, Q_ahead)
+    d -= fe(P_ahead, Q_behind)
+    d -= fe(P_behind, Q_ahead)
+    d += fe(P_behind, Q_behind)
     d /= 4 * h * h
     yield ("mixed partial", axes), d
 
@@ -545,6 +577,13 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
     with step 1e-5 and tolerance max(tol, 1e-7); it refuses families with
     kinks, whose derivative probes would fail spuriously.
 
+    f is evaluated once per probe lattice: once on the lattice of grid
+    mode, and in smooth mode once more on each of the eight shifted
+    lattices of the stencil.  C must be strictly positive on the lattice
+    (SupportError otherwise); a ratio-form family reads that from f by the
+    rule of its ``eval``, any other family calls ``eval``.  A negative or
+    NaN ``tol`` is a ValueError.
+
     Returns a :class:`CouplingVerdict`; ``min_margin`` is the distance of the
     worst probe quantity from the failure threshold, so borderline parameter
     values are visible to the caller.
@@ -556,12 +595,22 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
             f"family {C.family!r} has non-smooth spots; use grid mode")
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
+    _require_tol(tol)
 
-    us = np.linspace(0.0, 1.0, grid_n)[1:]
+    us, *stencil = _probe_axes(operator.index(grid_n), mode == "smooth")
     U, V = us[:, None], us[None, :]
-    if np.any(np.asarray(C.eval(U, V)) <= 0.0):
+    if isinstance(C, _FFormCopula):
+        # positivity by the rule of eval, read off the one f lattice
+        f = np.asarray(C.f_eval(U, V))
+        c = _uv_over_f(U * V, f)
+    else:
+        f = None
+        c = np.asarray(C.eval(U, V))
+    if np.any(c <= 0.0):
         raise SupportError("copula must be strictly positive on (0, 1]^2")
-    f = np.asarray(C.f_eval(U, V))
+    del c
+    if f is None:
+        f = np.asarray(C.f_eval(U, V))
 
     # tags: (check name, the u and v probe axes of the block's entries)
     boundary = [
@@ -576,7 +625,9 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
         quantities = _difference_blocks(f, us)
         threshold = tol
     else:
-        quantities = _derivative_blocks(C.f_eval, grid_n)
+        # the stencil reads no f lattice: free it before the stencil's own
+        del f
+        quantities = _derivative_blocks(C.f_eval, *stencil)
         threshold = max(tol, 1e-7)
 
     bound_q, bound_tag, bound_at = _worst(boundary)
@@ -615,6 +666,7 @@ def check_copula_axioms(C: Copula, n=101, tol=1e-9):
     """
     if n < 2:
         raise ValueError(f"n must be at least 2 to probe a cell, got {n}")
+    _require_tol(tol)
     g = np.linspace(0.0, 1.0, n)
     z = np.zeros_like(g)
     o = np.ones_like(g)

@@ -94,6 +94,13 @@ def _require_finite(message, *arrays):
         raise ValueError(message)
 
 
+def _require_tol(tol):
+    """Refuse a check tolerance that is negative or NaN (``nan < 0`` is
+    False, so only ``not tol >= 0`` catches both)."""
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+
+
 def _ratio(num, den, live, fill, out=None):
     """num / den where ``live``, ``fill`` elsewhere, as one division over
     every entry written to ``out`` (a fresh array when None) and one copy of
@@ -858,8 +865,7 @@ def is_quasi_monotone(F, tol=0.0, grid=None):
     Returns a :class:`QuasiMonotoneResult`; on failure ``worst_cell`` holds
     the lower-left corner of the most negative cell.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _require_tol(tol)
     xs, ys = _probe_grid(F, grid)
     vols = _cell_volumes(F.eval(xs[:, None], ys[None, :]))
     drop, _, at = _worst([("volume", -vols)])

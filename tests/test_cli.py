@@ -49,6 +49,20 @@ class TestCheck:
         assert main(["check", "copula", "nosuch:1"]) == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("check", [
+        ["copula", "amh:theta=0.5"],
+        ["copula", "amh:theta=0.5", "--mode", "smooth"],
+        ["maxid", "dirac:0,0"],
+        ["classical-maxid", "dirac:0,0"],
+        ["copula-axioms", "logistic:m=2"],
+    ])
+    def test_negative_or_nan_tolerance_exit_four(self, check, tol, capsys):
+        assert main(["--tol", tol, "check", *check]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be nonnegative\n"
+
 
 class TestConvolve:
     def test_identity_element(self, law_file, tmp_path, capsys):

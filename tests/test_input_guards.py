@@ -1,23 +1,31 @@
 """Inputs that used to pass unchecked or crash: NaN Pickands functions, grid
-DFs above their marginals, an empty compound-Poisson ladder; and the
-classical extreme-value law as one EV copula over two marginals."""
+DFs above their marginals, an empty compound-Poisson ladder, negative or
+NaN check tolerances; and the classical extreme-value law as one EV copula
+over two marginals."""
+
+import math
 
 import numpy as np
 import pytest
 
 from bifreemax import (
+    AMHCopula,
     CoupledBDF,
     DiscreteMeasure,
     GridBDF,
     bdf_from_law,
+    check_maxid_coupling,
+    classical_maxid_check,
     compound_poisson_limit,
     exponential_free_df,
     is_bifree_maxid,
+    is_quasi_monotone,
     uniform_df,
 )
 from bifreemax.copulas import (
     EVCopula,
     FuncPickands,
+    check_copula_axioms,
     check_pickands,
     logistic_pickands,
 )
@@ -46,6 +54,34 @@ class TestCheckPickandsNaN:
         with pytest.raises(AssertionError) as err:
             check_pickands(FuncPickands(fn))
         assert message in str(err.value)
+
+
+_LAW = CoupledBDF(AMHCopula(0.5), uniform_df(0.0, 1.0), uniform_df(0.0, 2.0))
+_TOL_CHECKS = {
+    "coupling-grid": lambda tol: check_maxid_coupling(AMHCopula(0.5), tol=tol),
+    "coupling-smooth": lambda tol: check_maxid_coupling(
+        AMHCopula(0.5), mode="smooth", tol=tol),
+    "bifree-maxid": lambda tol: is_bifree_maxid(_LAW, tol=tol),
+    "classical-maxid": lambda tol: classical_maxid_check(_LAW, tol=tol),
+    "quasi-monotone": lambda tol: is_quasi_monotone(_LAW, tol=tol),
+    "copula-axioms": lambda tol: check_copula_axioms(AMHCopula(0.5), tol=tol),
+}
+
+
+class TestToleranceGuard:
+    # a negative tolerance made a check fail on quantities that violate
+    # nothing (or, for the classical check, pass), and a NaN one failed
+    # every comparison
+    @pytest.mark.parametrize("check", sorted(_TOL_CHECKS))
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tolerance_is_refused(self, check, tol):
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            _TOL_CHECKS[check](tol)
+
+    @pytest.mark.parametrize("check", sorted(_TOL_CHECKS))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, math.inf])
+    def test_nonnegative_tolerance_is_taken(self, check, tol):
+        _TOL_CHECKS[check](tol)
 
 
 class TestValidateMarginalBound:

@@ -9,15 +9,16 @@ alpha <= 0 among them) exit 4 with a diagnostic on stderr, as does
 ``convolve --free`` with ``--csv`` (a univariate DF has no surface) and as
 do runs that could cover nothing: an empty or non-positive ``--ns``,
 ``--grid`` below 3 for ``check copula`` or below 2 for ``check
-copula-axioms``, a negative or NaN ``--tol`` for a ``check`` that takes
-one, ``check maxid`` with neither a spec nor ``--gaussian``,
+copula-axioms``, a negative or NaN ``--tol`` for any ``check``, ``check
+maxid`` with neither a spec nor ``--gaussian``,
 ``experiment compound-poisson --max-log2`` below 1, and ``gaussian
 density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
 ``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A
 ``gaussian`` correlation that is NaN or has |c| >= 1 (except for
 ``verdict``, which decides c = -1 and c = 1) and a non-finite or
 out-of-square ``identity --xs`` point exit 4 too (argparse usage errors
-keep the stdlib exit code 2).
+keep the stdlib exit code 2).  ``check maxid --gaussian C`` decides with
+its own 1e-8 witness margin, not ``--tol``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ from . import convolution as cv
 from . import copulas as cp
 from . import extremes as ex
 from . import gaussian as ga
-from .distributions import CoupledBDF, GridBDF, GridUDF, _span, materialize
+from .distributions import (
+    CoupledBDF,
+    GridBDF,
+    GridUDF,
+    _require_tol,
+    _span,
+    materialize,
+)
 from .serialize import (
     _grid2d_obj,
     _Texts,
-    bdf_to_obj,
     dump_json,
     fmt,
     report_csv_lines,
@@ -108,15 +115,14 @@ def _marginal_summary(tag, m):
             f"{fmt(sat) if np.isfinite(sat) else 'inf'}")
 
 
-def _write_grid(args, F):
-    """Write a grid DF's JSON (``-o``) and its surface CSV (``--csv``, where
-    the subcommand has one), both from one text table of its values."""
-    csv_path = getattr(args, "csv", None)
-    if not (args.output or csv_path):
+def _write_grid(args, F, json_path, csv_path=None):
+    """Write a grid DF's JSON to ``json_path`` and its surface CSV to
+    ``csv_path``, where given, from one text table of its values."""
+    if not (json_path or csv_path):
         return
     texts = _Texts(F.values)
-    if args.output:
-        dump_json(_grid2d_obj(F, texts), _out_path(args, args.output))
+    if json_path:
+        dump_json(_grid2d_obj(F, texts), _out_path(args, json_path))
     if csv_path:
         write_surface_csv(_out_path(args, csv_path), F.xknots, F.yknots, texts)
 
@@ -124,7 +130,7 @@ def _write_grid(args, F):
 def _emit_bdf(args, F):
     print(_marginal_summary("marginal1", F.marginal1))
     print(_marginal_summary("marginal2", F.marginal2))
-    _write_grid(args, F)
+    _write_grid(args, F, args.output, getattr(args, "csv", None))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +208,8 @@ def _cmd_check(args):
                    "mode": verdict.mode, "min_margin": verdict.min_margin,
                    "witness": _witness_obj(verdict.witness)}
     elif args.what == "maxid" and args.gaussian is not None:
+        # refused as by every check, though the verdict has its own margin
+        _require_tol(tol)
         payload = _gaussian_verdict(args.gaussian, args.resolution)
     elif args.what == "maxid":
         if args.spec is None:
@@ -258,7 +266,8 @@ def _cmd_gaussian(args):
                           knots, knots, vals)
         return 0
     if args.what == "cdf":
-        _write_grid(args, ga.cdf_grid(c, resolution=args.resolution))
+        _write_grid(args, ga.cdf_grid(c, resolution=args.resolution),
+                    args.output, args.csv)
         return 0
     if args.what == "identity":
         xs = _floats(args.xs)
@@ -300,7 +309,7 @@ def _cmd_experiment(args):
         if args.limit_output:
             grid = materialize(limit, limit.marginal1.knots,
                                limit.marginal2.knots)
-            dump_json(bdf_to_obj(grid), _out_path(args, args.limit_output))
+            _write_grid(args, grid, args.limit_output)
     elif args.what == "doa-copula":
         C = parse_copula(args.spec)
         if args.pickands:

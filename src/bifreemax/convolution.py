@@ -88,11 +88,15 @@ def free_maxconv(F: UnivariateDF, G: UnivariateDF) -> UnivariateDF:
                 max(F.support_lower, G.support_lower),
                 max(F.saturation, G.saturation), kind="free-maxconv")
     if isinstance(F, GridUDF) and isinstance(G, GridUDF):
-        knots = np.union1d(F.knots, G.knots)
-        sat = H.saturation
-        return GridUDF(knots, H.eval(knots),
-                       saturation=sat if np.isfinite(sat) else None)
+        return _on_knots(H, np.union1d(F.knots, G.knots))
     return H
+
+
+def _on_knots(H: FuncUDF, knots) -> GridUDF:
+    """The step DF of the closed form ``H`` on ``knots``."""
+    sat = H.saturation
+    return GridUDF(knots, H.eval(knots),
+                   saturation=sat if np.isfinite(sat) else None)
 
 
 def _declared_lower(F: UnivariateDF, refusal):
@@ -132,9 +136,7 @@ def _free_power_above(F: UnivariateDF, t, lower) -> UnivariateDF:
     H = FuncUDF(lambda x: t * F.eval(x) + (1.0 - t), lower, F.saturation,
                 kind="free-power")
     if isinstance(F, GridUDF) and t > 1.0:
-        sat = H.saturation
-        return GridUDF(F.knots, H.eval(F.knots),
-                       saturation=sat if np.isfinite(sat) else None)
+        return _on_knots(H, F.knots)
     return H
 
 
@@ -304,41 +306,36 @@ def bifree_power(F: BivariateDF, t) -> BivariateDF:
     max-i.d. inputs.  Exponent-measure backed DFs are powered exactly by
     scaling their measure.
     """
-    t = float(t)
-    if not t >= 0:
+    return next(_power_ladder(F, [t]))
+
+
+def _power_ladder(F: BivariateDF, ts):
+    """``bifree_power(F, t)`` for each t of ``ts``, the one constructor of
+    bivariate powers; a negative or NaN t is refused before any is built.
+
+    A power t > 1 starts at the marginal quantiles inf{F_j > 1 - 1/t}.  The
+    ladder finds them for every t with one vector ``quantile_exceed`` call
+    per marginal, one in all when both axes carry one marginal object; each
+    is the float of the scalar call.  A power t < 1 keeps the base's lower
+    corner."""
+    ts = [float(t) for t in ts]
+    if not all(t >= 0 for t in ts):
         raise ValueError("power must be nonnegative")
-    if t == 0.0:
-        return CoupledBDF(IndependenceCopula(), ones_df(), ones_df())
-    if t == 1.0:
-        return F
-    if isinstance(F, MeasureBDF):
-        return F.power(t)
-    return PowerBDF(F, t)
-
-
-def _power_ladder(F: BivariateDF, ns):
-    """``(n, bifree_power(F, n))`` for each n of ``ns`` in its order.
-
-    Each power n > 1 starts at the marginal quantiles inf{F_j > 1 - 1/n}.
-    The ladder finds them for every n with one vector ``quantile_exceed``
-    call per marginal, one in all when both axes carry one marginal object,
-    and hands them to the constructor that ``bifree_power`` uses.  Each
-    quantile is the float of the scalar call, so each power is the one
-    ``bifree_power(F, n)`` returns.
-    """
-    ns = [int(n) for n in ns]
-    levels = [1.0 - 1.0 / n for n in ns if n > 1]
+    levels = [1.0 - 1.0 / t for t in ts if t > 1.0]
     m1, m2 = F.marginal1, F.marginal2
     lows1 = m1.quantile_exceed(levels).tolist()
     lows2 = lows1 if m2 is m1 else m2.quantile_exceed(levels).tolist()
-    lowers = iter(zip(lows1, lows2))
-    for n in ns:
-        if n <= 1:
-            yield n, bifree_power(F, n)
+    corners = zip(lows1, lows2)
+    for t in ts:
+        corner = next(corners) if t > 1.0 else None
+        if t == 0.0:
+            yield CoupledBDF(IndependenceCopula(), ones_df(), ones_df())
+        elif t == 1.0:
+            yield F
         elif isinstance(F, MeasureBDF):
-            yield n, MeasureBDF(F.tau.scaled(n), next(lowers))
+            yield MeasureBDF(F.tau.scaled(t), corner or F.lower)
         else:
-            yield n, PowerBDF(F, n, _lowers=next(lowers))
+            yield PowerBDF(F, t, _lowers=corner)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +508,13 @@ class MeasureBDF(RatioBDF):
         return np.subtract(1.0, tail, out=tail)
 
     def power(self, t):
-        """The measure t*tau above ``lower`` for t <= 1, and for t > 1 above
-        L_j = inf{F_j > 1 - 1/t}, which is at least ``lower_j``."""
+        """The :func:`bifree_power` of a positive t: the measure t*tau above
+        ``lower`` for t <= 1, and for t > 1 above L_j = inf{F_j > 1 - 1/t},
+        which is at least ``lower_j``."""
         t = float(t)
         if not t > 0:
             raise ValueError("power must be positive")
-        lower = self.lower if t <= 1.0 else tuple(
-            m.quantile_exceed(1.0 - 1.0 / t)
-            for m in (self.marginal1, self.marginal2))
-        return MeasureBDF(self.tau.scaled(t), lower)
+        return bifree_power(self, t)
 
 
 from_exponent_measure = MeasureBDF

@@ -580,9 +580,9 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
     f is evaluated once per probe lattice: once on the lattice of grid
     mode, and in smooth mode once more on each of the eight shifted
     lattices of the stencil.  C must be strictly positive on the lattice
-    (SupportError otherwise); a ratio-form family reads that from f by the
-    rule of its ``eval``, any other family calls ``eval``.  A negative or
-    NaN ``tol`` is a ValueError.
+    (SupportError otherwise); every family reads that from f, as uv / f by
+    the rule of a ratio form's ``eval``.  A negative or NaN ``tol`` is a
+    ValueError.
 
     Returns a :class:`CouplingVerdict`; ``min_margin`` is the distance of the
     worst probe quantity from the failure threshold, so borderline parameter
@@ -599,18 +599,11 @@ def check_maxid_coupling(C: Copula, mode="grid", tol=1e-9, grid_n=101):
 
     us, *stencil = _probe_axes(operator.index(grid_n), mode == "smooth")
     U, V = us[:, None], us[None, :]
-    if isinstance(C, _FFormCopula):
-        # positivity by the rule of eval, read off the one f lattice
-        f = np.asarray(C.f_eval(U, V))
-        c = _uv_over_f(U * V, f)
-    else:
-        f = None
-        c = np.asarray(C.eval(U, V))
-    if np.any(c <= 0.0):
+    # positivity by the rule of a ratio form's eval, read off the one f
+    # lattice: the generic f is +inf where C <= 0 < uv, where uv / f is 0
+    f = np.asarray(C.f_eval(U, V))
+    if np.any(_uv_over_f(U * V, f) <= 0.0):
         raise SupportError("copula must be strictly positive on (0, 1]^2")
-    del c
-    if f is None:
-        f = np.asarray(C.f_eval(U, V))
 
     # tags: (check name, the u and v probe axes of the block's entries)
     boundary = [

@@ -186,7 +186,8 @@ def default_normalizers(m1: UnivariateDF, m2: UnivariateDF) -> NormalizingSequen
 def _normalized(F: BivariateDF, seq: NormalizingSequence, ns, X, Y):
     """``(n, a_n X + b_n, c_n Y + d_n, bifree_power(F, n))`` for each n of
     the ladder, the powers from one :func:`_power_ladder`."""
-    for n, power in _power_ladder(F, ns):
+    ns = [int(n) for n in ns]
+    for n, power in zip(ns, _power_ladder(F, ns)):
         an, bn, cn, dn = seq(n)
         yield n, an * X + bn, cn * Y + dn, power
 

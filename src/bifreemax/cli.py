@@ -11,7 +11,8 @@ do runs that could cover nothing: an empty or non-positive ``--ns``,
 ``--grid`` below 3 for ``check copula`` or below 2 for ``check
 copula-axioms``, a negative or NaN ``--tol`` for any ``check``, ``check
 maxid`` with neither a spec nor ``--gaussian``,
-``experiment compound-poisson --max-log2`` below 1, and ``gaussian
+``experiment compound-poisson`` with ``--max-log2`` below 1 or a NaN or
+non-positive ``--lam``, and ``gaussian
 density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
 ``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A
 ``gaussian`` correlation that is NaN or has |c| >= 1 (except for

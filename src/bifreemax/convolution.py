@@ -555,10 +555,20 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     ``MeasureBDF(nu, p).power(lam)``, built from ``tau = lam * nu`` with
     lower corner ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` for lam > 1 and
     ``p`` otherwise, and a report of sup-distances along the ``ns`` ladder,
-    probed on the atoms' coordinates, their midpoints and points below and
-    beyond them.  The limit is evaluated on the probe once, not once per n.
+    a strictly increasing sequence of integers n >= lam, probed on the
+    atoms' coordinates, their midpoints and points below and beyond them.
+    The limit is evaluated on the probe once, not once per n.
+
+    The rungs are read off the step DF of ``nu``, built once, by linearity.
+    On the probe, rung n with s = lam/n has the DF ``f = (1 - s)*1{x >= p}
+    + s*F_nu`` and the marginals ``f_j`` likewise; where its step DF
+    saturates to 1, so do these, as ``s + (1 - s)`` rounds to 1 for every s
+    in [0, 1].  The n-th power of the rung is ``H1*H2/Q_n`` with ``H_j =
+    (n*f_j + 1 - n)_+`` and ``Q_n = 1 + n*(f1*f2/f - 1)``, by the rules of
+    :func:`free_power` and :class:`PowerBDF`, and 0 where H1*H2 = 0 or
+    f = 0.  No step DF or power is built per rung.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("rate must be positive")
     if isinstance(nu, GridBDF):
         nu = law_from_bdf(nu)
@@ -567,11 +577,15 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     p = (float(p[0]), float(p[1]))
     if ns is None:
         ns = [2 ** k for k in range(1, 11)]
+    if not all(float(n).is_integer() for n in ns):
+        raise ValueError("every n must be an integer")
     ns = [int(n) for n in ns]
     if not ns:
         raise ValueError("ns must hold at least one n")
     if any(n < lam for n in ns):
         raise ValueError("every n must satisfy n >= lam")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be strictly increasing")
 
     limit = MeasureBDF(nu, p).power(lam)
 
@@ -585,13 +599,35 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     # sup_distance against the limit's values on the probe
     x1, x2 = grid_probe(*probe)
     target = limit.eval(x1, x2)
-    atoms = np.vstack([np.array([[p[0], p[1]]]), nu.points])
+    # F_nu and its marginals on the probe, read once for every rung
+    step = bdf_from_law(nu)
+    g = step.eval(x1, x2)
+    g1, g2 = step.marginal1.eval(probe[0]), step.marginal2.eval(probe[1])
+    # per axis, the first probe index at or above p
+    at = [k.searchsorted(q) for k, q in zip(probe, p)]
     dists = []
-    for n in ns:
-        masses = np.concatenate(([1.0 - lam / n], (lam / n) * nu.masses))
-        step = bdf_from_law(DiscreteMeasure(atoms, masses))
-        powered = bifree_power(step, n).eval(x1, x2)
-        dists.append(float(np.max(np.abs(powered - target))))
+    # f1*f2/f and n*Q may overflow where f is subnormal; H is 0 there
+    with np.errstate(over="ignore"):
+        for n in ns:
+            s = lam / n
+            f1, f2, f = s * g1, s * g2, s * g
+            f1[at[0]:] += 1.0 - s
+            f2[at[1]:] += 1.0 - s
+            f[at[0]:, at[1]:] += 1.0 - s
+            # PowerBDF._q on the step's ratio, then RatioBDF._eval
+            q = np.multiply.outer(f1, f2)
+            q = _ratio(q, f, f > 0, np.inf, out=q)
+            q -= 1.0
+            q *= n
+            q += 1.0
+            h1 = np.clip(n * f1 + (1.0 - n), 0.0, 1.0)
+            h2 = np.clip(n * f2 + (1.0 - n), 0.0, 1.0)
+            h = np.multiply.outer(h1, h2)
+            live = np.isfinite(q)
+            live &= h > 0
+            h = _ratio(h, q, live, 0.0, out=h)
+            h -= target
+            dists.append(float(np.max(np.abs(h, out=h))))
     report = CompoundPoissonReport(tuple(ns), tuple(dists), dists[-1])
     return limit, report
 

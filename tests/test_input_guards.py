@@ -1,7 +1,7 @@
 """Inputs that used to pass unchecked or crash: NaN Pickands functions, grid
-DFs above their marginals, an empty compound-Poisson ladder, negative or
-NaN check tolerances; and the classical extreme-value law as one EV copula
-over two marginals."""
+DFs above their marginals, an empty, fractional or unordered compound-Poisson
+ladder and a NaN rate, negative or NaN check tolerances; and the classical
+extreme-value law as one EV copula over two marginals."""
 
 import math
 
@@ -22,6 +22,7 @@ from bifreemax import (
     is_quasi_monotone,
     uniform_df,
 )
+from bifreemax.cli import main
 from bifreemax.copulas import (
     EVCopula,
     FuncPickands,
@@ -108,10 +109,39 @@ class TestValidateMarginalBound:
 
 
 class TestCompoundPoissonLadder:
+    NU = DiscreteMeasure([[1.0, 1.0]], [1.0])
+
     def test_empty_ladder_is_refused(self):
-        nu = DiscreteMeasure([[1.0, 1.0]], [1.0])
         with pytest.raises(ValueError, match="at least one n"):
-            compound_poisson_limit(0.5, nu, (0.0, 0.0), ns=[])
+            compound_poisson_limit(0.5, self.NU, (0.0, 0.0), ns=[])
+
+    @pytest.mark.parametrize("ns", [[2.5], [2, 4.5], [math.inf], [math.nan]])
+    def test_a_fractional_n_is_refused_not_truncated(self, ns):
+        with pytest.raises(ValueError, match="^every n must be an integer$"):
+            compound_poisson_limit(0.5, self.NU, (0.0, 0.0), ns=ns)
+
+    def test_an_integral_float_n_is_an_integer(self):
+        _, report = compound_poisson_limit(0.5, self.NU, (0.0, 0.0),
+                                           ns=[2.0, np.int64(4)])
+        assert report.ns == (2, 4)
+        assert all(type(n) is int for n in report.ns)
+
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -0.5, -math.inf])
+    def test_a_nan_or_nonpositive_rate_is_refused(self, lam):
+        with pytest.raises(ValueError, match="^rate must be positive$"):
+            compound_poisson_limit(lam, self.NU, (0.0, 0.0), ns=[2])
+
+    @pytest.mark.parametrize("ns", [[4, 2], [2, 2], [2, 8, 4]])
+    def test_a_ladder_that_does_not_increase_is_refused(self, ns):
+        with pytest.raises(ValueError, match="^ns must be strictly increasing$"):
+            compound_poisson_limit(0.5, self.NU, (0.0, 0.0), ns=ns)
+
+    def test_the_cli_refuses_a_nan_rate(self, capsys):
+        assert main(["experiment", "compound-poisson", "--lam", "nan",
+                     "--nu", "dirac:1,1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate must be positive\n"
 
 
 class TestClassicalEVLaw:

@@ -81,11 +81,13 @@ def kernel_denominator(c, s, t):
 
 
 def density(c, s, t):
-    """Density p_c(s, t); zero off the square, undefined at |c| = 1."""
+    """Density p_c(s, t); zero off the square, NaN where s or t is NaN,
+    undefined at |c| = 1."""
     cv = _density_c(c)
 
     def p(sa, ta):
         inside = (np.abs(sa) <= 2.0) & (np.abs(ta) <= 2.0)
+        inside |= np.isnan(sa) | np.isnan(ta)
         sc = np.clip(sa, -2.0, 2.0)
         tc = np.clip(ta, -2.0, 2.0)
         num = np.sqrt(4.0 - sc * sc) * np.sqrt(4.0 - tc * tc)
@@ -122,44 +124,102 @@ def _weight(phi):
     return 4.0 * np.cos(phi) ** 2
 
 
-def _weighted_kernel(c, scale):
-    """The integrand scale * w(s) w(t) / D_c(s, t) of phi and psi, with
-    s = 2 sin(phi), t = 2 sin(psi) and w the semicircle weight times the
-    Jacobian, for the node arrays of ``tensor_cells``: phi varies on the
-    leading axes and psi on the trailing ones.
+def _rank3_factors(c, scale, phi, psi):
+    """The (n, 3) and (3, m) factors whose product is
+    D_c(s, t) / (scale * w(s) w(t)) on the flat node arrays ``phi`` and
+    ``psi``, with s = 2 sin(phi), t = 2 sin(psi) and w the semicircle
+    weight times the Jacobian.
 
     D_c(s, t) = (k0 + k2 s^2) * 1 + 1 * (k2 t^2) + (-k1 s) * t has rank 3,
     and so has its quotient by scale * w(s) w(t): each factor is divided by
-    its own axis weight, and scale goes into the s factors.  The integrand
-    builds the (n, 3) and (3, m) factor matrices on the axes and writes the
-    block into one preallocated array, in chunks of at least two rows and
-    about ``_CHUNK`` values: each chunk is one matrix product and then its
-    reciprocal in place, taken while the chunk is still in cache.  The
-    values have the bits of one product over the whole block.
+    its own axis weight, and scale goes into the s factors.
     """
     k0, k1, k2 = (1.0 - c * c) ** 2, c * (1.0 + c * c), c * c
+    s = 2.0 * np.sin(phi)
+    t = 2.0 * np.sin(psi)
+    left = np.stack([k0 + k2 * s * s, np.ones_like(s), -k1 * s], axis=1)
+    left /= (scale * _weight(phi))[:, None]
+    right = np.stack([np.ones_like(t), k2 * t * t, t]) / _weight(psi)
+    return left, right
+
+
+def _weighted_kernel(c, scale):
+    """The integrand scale * w(s) w(t) / D_c(s, t) of phi and psi, for the
+    node arrays of ``tensor_cells``: phi varies on the leading axes and psi
+    on the trailing ones.
+
+    This is the generic path, kept as the reference of ``_chunked_kernel``:
+    it forms the whole block, the reciprocal of the product of the
+    ``_rank3_factors``, in one preallocated array, in chunks of at least
+    two rows and about ``_CHUNK`` values: each chunk is one matrix product
+    and then its reciprocal in place, taken while the chunk is still in
+    cache.  The values have the bits of one product over the whole block.
+    """
 
     def integrand(phi, psi):
         shape = np.broadcast_shapes(phi.shape, psi.shape)
-        phi, psi = phi.ravel(), psi.ravel()
-        s = 2.0 * np.sin(phi)
-        t = 2.0 * np.sin(psi)
-        left = np.stack([k0 + k2 * s * s, np.ones_like(s), -k1 * s], axis=1)
-        left /= (scale * _weight(phi))[:, None]
-        right = np.stack([np.ones_like(t), k2 * t * t, t]) / _weight(psi)
-        d = np.empty((s.size, t.size))
-        step = max(2, _CHUNK // max(t.size, 1))
+        left, right = _rank3_factors(c, scale, phi.ravel(), psi.ravel())
+        n, m = left.shape[0], right.shape[1]
+        d = np.empty((n, m))
+        step = max(2, _CHUNK // max(m, 1))
         lo = 0
-        while lo < s.size:
+        while lo < n:
             # no one-row chunk in a larger block: numpy takes a one-row
             # product as a matrix-vector product, whose bits differ
-            hi = lo + step if s.size - lo > step + 1 else s.size
+            hi = lo + step if n - lo > step + 1 else n
             chunk = d[lo:hi]
             np.matmul(left[lo:hi], right, out=chunk)
             np.reciprocal(chunk, out=chunk)
             lo = hi
         return d.reshape(shape)
 
+    return integrand
+
+
+def _chunked_kernel(c, scale):
+    """``_weighted_kernel(c, scale)`` with the ``block_rows`` method by which
+    ``tensor_cells`` contracts it without forming a block of its values.
+
+    A block's ``_rank3_factors`` are formed once.  Each chunk of about
+    ``_CHUNK`` values, a multiple of 4 rows of x-nodes, is one product of
+    the factors, its reciprocal in place, and its contraction over the
+    y-nodes into the block's row sums, all while the chunk is in cache.  On
+    a symmetric lattice a chunk also skips the y-panels below its first
+    x-panel, so the lattice forms about half of its values even in one
+    block; the row sums it skips are zeros.
+
+    Every chunk but the last has a multiple of 4 rows because the y-node
+    contraction is a BLAS matrix-vector product, and the bits of its rows
+    can depend on how many rows the call has.  With the OpenBLAS kernel of
+    one machine, row counts that 4 divides gave the bits of one call over
+    the block on every lattice tried, for orders that 4 divides, and chunks
+    of 1 or 2 rows did not; another BLAS kernel may round the cells of the
+    two paths differently by an ulp or so.
+    """
+    integrand = _weighted_kernel(c, scale)
+
+    def block_rows(x, y, w, symmetric):
+        order = w.size
+        left, right = _rank3_factors(c, scale, x.ravel(), y.ravel())
+        n, q = left.shape[0], y.shape[0]
+        rows = np.zeros((n, q))
+        chunk_rows = 4 * max(1, _CHUNK // max(4 * order * q, 1))
+        buf = np.empty((chunk_rows + 1) * order * q)
+        lo = 0
+        while lo < n:
+            # no one-row chunk in a larger block, as in _weighted_kernel
+            hi = lo + chunk_rows if n - lo > chunk_rows + 1 else n
+            skip = lo // order if symmetric else 0
+            width = (q - skip) * order
+            chunk = buf[:(hi - lo) * width].reshape(hi - lo, width)
+            np.matmul(left[lo:hi], right[:, skip * order:], out=chunk)
+            np.reciprocal(chunk, out=chunk)
+            rows[lo:hi, skip:] = (chunk.reshape(-1, order) @ w).reshape(
+                hi - lo, q - skip)
+            lo = hi
+        return rows
+
+    integrand.block_rows = block_rows
     return integrand
 
 
@@ -170,9 +230,11 @@ def _cdf_values(c, xknots, yknots, order=16):
     so the semicircle weight times the Jacobian ds = 2 cos(phi) dphi is
     exactly 4 cos^2(phi).  Written so, it is one smooth factor per axis,
     computed on that axis alone, and no square root of a rounded 4 - s^2
-    is taken near the edges.  The kernel is the rank-3 form of
-    ``_weighted_kernel``; it is symmetric, so equal knots on the two axes
-    integrate one triangle of the lattice.
+    is taken near the edges.  The cells are ``tensor_cells`` of
+    ``_chunked_kernel``, the rank-3 form of the kernel contracted chunk by
+    chunk, so no block of integrand values is formed.  The kernel is
+    symmetric, so equal knots on the two axes integrate about one triangle
+    of the lattice, even when it fits in one block.
 
     The density integrates to 1, so on a lattice that spans the square the
     cells must sum to 1: off by more than 1e-9 means the panels did not
@@ -183,7 +245,7 @@ def _cdf_values(c, xknots, yknots, order=16):
     pa = _phi_edges_from_knots(xknots)
     pb = _phi_edges_from_knots(yknots)
     scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
-    cells = tensor_cells(_weighted_kernel(c, scale), pa, pb, order=order,
+    cells = tensor_cells(_chunked_kernel(c, scale), pa, pb, order=order,
                          symmetric=np.array_equal(pa, pb))
     half = math.pi / 2.0
     if (pa[0], pa[-1], pb[0], pb[-1]) == (-half, half, -half, half):
@@ -255,7 +317,8 @@ def comparison_integral(c, x, y):
     for c in (-1, 0) at every interior point, positive for c in (0, 1).
     The second term does not depend on s, so it is the product of two
     one-dimensional sums on the same nodes; only the first goes through
-    the tensor rule.
+    the tensor rule, of ``_chunked_kernel`` on the full lattice (its axes
+    end at x and y, so it is not taken as symmetric even where x = y).
     """
     cv = _density_c(c)
     x = _square_point("x", x)
@@ -264,7 +327,7 @@ def comparison_integral(c, x, y):
         return 0.0  # D_0 = 1: the two terms are equal, not just to rounding
     ps = np.linspace(-math.pi / 2.0, math.asin(x / 2.0), 24)
     pt = np.linspace(-math.pi / 2.0, math.asin(y / 2.0), 24)
-    first = tensor_cells(_weighted_kernel(cv, 1.0), ps, pt, order=24).sum()
+    first = tensor_cells(_chunked_kernel(cv, 1.0), ps, pt, order=24).sum()
     phi, wphi = panel_nodes(ps, 24)
     psi, wpsi = panel_nodes(pt, 24)
     weight_s = np.sum(wphi * _weight(phi))

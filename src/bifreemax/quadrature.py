@@ -20,13 +20,16 @@ __all__ = [
     "tensor_cells",
 ]
 
-# integrand values tensor_cells holds at once (8 MB of float64); large enough
-# that comparison_integral's 552^2 lattice, the default ratio probe of
-# maxid_verdict (960^2) and a cdf_grid of up to 65 knots (1024^2) each run in
-# one block, as each block costs one integrand call and two BLAS products (no
-# contraction path is searched per block).  A symmetric lattice saves work
-# only across blocks, so such a cdf_grid integrates both triangles; the
-# 161-knot one runs in 7 blocks and integrates 58% of its values
+# integrand values tensor_cells holds at once (8 MB of float64), or the row
+# sums of as many values for an integrand that contracts its own y-nodes;
+# large enough that comparison_integral's 552^2 lattice, the default ratio
+# probe of maxid_verdict (960^2) and a cdf_grid of up to 65 knots (1024^2)
+# each run in one block, as each block costs one integrand call and two BLAS
+# products (no contraction path is searched per block).  tensor_cells saves
+# work on a symmetric lattice only across blocks, so a generic integrand is
+# formed on both triangles of a one-block lattice, and on 58% of the
+# 161-knot one (7 blocks); the Gaussian kernel's block_rows skips the
+# y-panels below each chunk of its rows
 _BLOCK = 1 << 20
 
 
@@ -59,8 +62,11 @@ def adaptive_panels(f, a, b, tol=1e-8):
     Both halves of a split are integrated by one call of ``f`` on nodes of
     shape (2, 32), each row summed alone, so a panel's estimate has the
     same bits as from a call on its own nodes.  A non-finite panel estimate
-    raises ValueError instead of being split.
+    raises ValueError instead of being split.  An empty interval, a == b,
+    integrates to 0.0 without a call of ``f``.
     """
+    if a == b:
+        return 0.0
 
     def estimate(edges):
         x, w = panel_nodes(edges, 32)
@@ -85,6 +91,13 @@ def adaptive_panels(f, a, b, tol=1e-8):
     return total
 
 
+def _formed_rows(f, x, y, w, symmetric):
+    """Row sums of one block of a generic integrand: its values on the whole
+    block, formed at once and contracted over the y-nodes."""
+    vals = f(x[:, :, None, None], y[None, None, :, :])
+    return vals.reshape(-1, w.size) @ w
+
+
 def tensor_cells(f, xedges, yedges, order=16, symmetric=False):
     """Cell integrals of f(x, y) over the panel lattice.
 
@@ -103,26 +116,37 @@ def tensor_cells(f, xedges, yedges, order=16, symmetric=False):
     contraction path to search and no copy of the block, and the cells are
     scaled by the half-widths of their two panels once.
 
+    An integrand may contract its own y-nodes, so that no block of its
+    values is formed: if ``f`` has a ``block_rows`` method, each block is
+    ``f.block_rows(x, y, w, symmetric)`` instead, with x-nodes of shape
+    (panels, order), y-nodes of shape (y-panels, order) and the reference
+    weights ``w``, and returns the y-node sums of shape
+    (panels * order, y-panels) that the first product would.
+
     ``symmetric=True`` is for f(x, y) = f(y, x) on equal edges: a block
     starting at x-panel i then integrates only the y-panels from i onward,
-    and the cells below the diagonal are copied from those above it.
+    and the cells below the diagonal are copied from those above it.  Row
+    sums that fall below the diagonal are only read by the copied-over
+    cells, so ``block_rows`` may skip them, leaving any finite value.
     """
     w = _rule(order)[1]
     nx, _ = panel_nodes(xedges, order)
     ny, _ = panel_nodes(yedges, order)
     hx, hy = (0.5 * np.diff(np.asarray(e, dtype=np.float64))
               for e in (xedges, yedges))
+    block_rows = getattr(f, "block_rows", None) or functools.partial(
+        _formed_rows, f)
     step = max(1, _BLOCK // max(order * ny.size, 1))
     cells = np.empty((nx.shape[0], ny.shape[0]))
     for lo in range(0, nx.shape[0], step):
         block = slice(lo, lo + step)
         cols = slice(lo if symmetric else 0, None)
-        vals = f(nx[block, :, None, None], ny[None, None, cols, :])
-        p, q = vals.shape[0], vals.shape[2]
-        rows = (vals.reshape(-1, order) @ w).reshape(p, order, q)
+        x, y = nx[block], ny[cols]
+        rows = block_rows(x, y, w, symmetric).reshape(
+            x.shape[0], order, y.shape[0])
         cells[block, cols] = (w @ rows) * hx[block, None] * hy[None, cols]
-        # drop the block before f makes the next one, so one block is live
-        del vals, rows
+        # drop the row sums before the next block forms its own
+        del rows
     if symmetric:
         below = np.tril_indices(nx.shape[0], -1)
         cells[below] = cells.T[below]

@@ -1,6 +1,7 @@
 """Inputs the Gaussian family refuses: non-finite or out-of-range
 correlations and points, CDF lattices too small to span the square, and
-CDF lattices whose quadrature does not resolve the kernel."""
+CDF lattices whose quadrature does not resolve the kernel; and the edge
+inputs it answers: an empty adaptive interval, and NaN density queries."""
 
 import numpy as np
 import pytest
@@ -156,3 +157,39 @@ class TestUnresolvedQuadrature:
         assert "does not resolve the kernel" in capsys.readouterr().err
         assert not out.exists()
         assert main(["gaussian", "verdict", "-0.999"]) == 2
+
+
+class TestEmptyInterval:
+    @pytest.mark.parametrize("a", [-1.5, 0.0, 2.0])
+    def test_adaptive_panels_is_zero(self, a):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return np.cos(x)
+
+        assert adaptive_panels(f, a, a) == 0.0
+        assert calls == []
+
+
+class TestDensityNaN:
+    def test_nan_point_is_nan(self):
+        # as cdf_grid(c).eval and semicircle_df().eval read a NaN point
+        assert np.isnan(density(0.3, NAN, 0.0))
+        assert np.isnan(density(-0.6, 0.5, NAN))
+        assert np.isnan(cdf_grid(0.3, resolution=11).eval(NAN, 0.0))
+
+    def test_nan_wins_over_a_point_off_the_square(self):
+        got = density(0.3, [NAN, INF, 3.0, -INF], [INF, NAN, NAN, NAN])
+        assert np.all(np.isnan(got))
+
+    def test_infinite_points_stay_zero(self):
+        got = density(0.3, [INF, -INF, 0.5, 0.5, 3.0],
+                      [0.0, 0.0, INF, -INF, 0.0])
+        assert np.array_equal(got, np.zeros(5))
+
+    def test_finite_points_unchanged(self):
+        s = np.array([-2.0, -1.0, 0.0, 0.7, 2.0])
+        got = density(0.3, s[:, None], s[None, :])
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert got[2, 2] > 0.0

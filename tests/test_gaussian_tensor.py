@@ -180,20 +180,23 @@ def test_rank3_integrand_matches_kernel_denominator(c):
     np.testing.assert_allclose(got[well], ref[well], rtol=1e-12, atol=0)
 
 
-def test_cdf_artifact_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("c, resolution", [("0.4", "161"), ("-0.5", "101")])
+def test_cdf_artifact_independent_of_blas_threads(c, resolution, tmp_path):
     # the kernel is a BLAS matrix product: its thread count must not move bytes
     src = os.path.dirname(os.path.dirname(quadrature.__file__))
     digests = set()
     for threads in ("1", "2"):
         out = tmp_path / f"G{threads}.json"
+        table = tmp_path / f"G{threads}.csv"
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         run = subprocess.run(
-            [sys.executable, "-m", "bifreemax.cli", "gaussian", "cdf", "0.4",
-             "--resolution", "161", "-o", str(out)],
+            [sys.executable, "-m", "bifreemax.cli", "gaussian", "cdf", c,
+             "--resolution", resolution, "-o", str(out), "--csv", str(table)],
             capture_output=True, text=True, env=env, check=False)
         assert run.returncode == 0, run.stderr
-        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        digests.add(hashlib.sha256(out.read_bytes()
+                                   + table.read_bytes()).hexdigest())
     assert len(digests) == 1
 
 

@@ -46,13 +46,12 @@ from .distributions import (
     materialize,
 )
 from .serialize import (
-    _grid2d_obj,
-    _Texts,
     dump_json,
     fmt,
     report_csv_lines,
     surface_csv_lines,
     udf_to_obj,
+    write_grid,
     write_report_csv,
     write_surface_csv,
 )
@@ -117,15 +116,10 @@ def _marginal_summary(tag, m):
 
 
 def _write_grid(args, F, json_path, csv_path=None):
-    """Write a grid DF's JSON to ``json_path`` and its surface CSV to
-    ``csv_path``, where given, from one text table of its values."""
-    if not (json_path or csv_path):
-        return
-    texts = _Texts(F.values)
-    if json_path:
-        dump_json(_grid2d_obj(F, texts), _out_path(args, json_path))
-    if csv_path:
-        write_surface_csv(_out_path(args, csv_path), F.xknots, F.yknots, texts)
+    """``serialize.write_grid`` of a grid DF to its paths, where given,
+    under ``--out-dir``."""
+    write_grid(F, json_path and _out_path(args, json_path),
+               csv_path and _out_path(args, csv_path))
 
 
 def _emit_bdf(args, F):

@@ -538,6 +538,13 @@ def _probe_axes(grid_n, stencil):
     return tuple(axes)
 
 
+def _accumulate(d, b, op=np.subtract):
+    """``op(d, b)`` into ``d``; where two probes of f are both infinite their
+    difference is NaN, which ``_worst`` fails, and no warning is raised."""
+    with np.errstate(invalid="ignore"):
+        op(d, b, out=d)
+
+
 def _derivative_blocks(fe, ps, P_ahead, P_behind, Q_ahead, Q_behind):
     """The smooth-mode blocks of ``check_maxid_coupling``, one at a time:
     central differences of the denominator ``fe`` with step ``_STEP`` on
@@ -548,16 +555,16 @@ def _derivative_blocks(fe, ps, P_ahead, P_behind, Q_ahead, Q_behind):
     for name, ahead, behind in (("df/du", (P_ahead, Q), (P_behind, Q)),
                                 ("df/dv", (P, Q_ahead), (P, Q_behind))):
         d = fe(*ahead)
-        d -= fe(*behind)
+        _accumulate(d, fe(*behind))
         d /= 2 * h
         yield (f"{name} lower", axes), -d
         # its own block: the rounding of d - 1 can tie entries d separates
         d -= 1.0
         yield (f"{name} upper", axes), d
     d = fe(P_ahead, Q_ahead)
-    d -= fe(P_ahead, Q_behind)
-    d -= fe(P_behind, Q_ahead)
-    d += fe(P_behind, Q_behind)
+    _accumulate(d, fe(P_ahead, Q_behind))
+    _accumulate(d, fe(P_behind, Q_ahead))
+    _accumulate(d, fe(P_behind, Q_behind), np.add)
     d /= 4 * h * h
     yield ("mixed partial", axes), d
 

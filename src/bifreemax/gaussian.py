@@ -149,29 +149,15 @@ def _weighted_kernel(c, scale):
     on the trailing ones.
 
     This is the generic path, kept as the reference of ``_chunked_kernel``:
-    it forms the whole block, the reciprocal of the product of the
-    ``_rank3_factors``, in one preallocated array, in chunks of at least
-    two rows and about ``_CHUNK`` values: each chunk is one matrix product
-    and then its reciprocal in place, taken while the chunk is still in
-    cache.  The values have the bits of one product over the whole block.
+    it forms the whole block as one product of the ``_rank3_factors`` and
+    takes its reciprocal in place.
     """
 
     def integrand(phi, psi):
         shape = np.broadcast_shapes(phi.shape, psi.shape)
         left, right = _rank3_factors(c, scale, phi.ravel(), psi.ravel())
-        n, m = left.shape[0], right.shape[1]
-        d = np.empty((n, m))
-        step = max(2, _CHUNK // max(m, 1))
-        lo = 0
-        while lo < n:
-            # no one-row chunk in a larger block: numpy takes a one-row
-            # product as a matrix-vector product, whose bits differ
-            hi = lo + step if n - lo > step + 1 else n
-            chunk = d[lo:hi]
-            np.matmul(left[lo:hi], right, out=chunk)
-            np.reciprocal(chunk, out=chunk)
-            lo = hi
-        return d.reshape(shape)
+        d = left @ right
+        return np.reciprocal(d, out=d).reshape(shape)
 
     return integrand
 
@@ -207,7 +193,8 @@ def _chunked_kernel(c, scale):
         buf = np.empty((chunk_rows + 1) * order * q)
         lo = 0
         while lo < n:
-            # no one-row chunk in a larger block, as in _weighted_kernel
+            # no one-row chunk in a larger block: numpy takes a one-row
+            # product as a matrix-vector product, whose bits differ
             hi = lo + chunk_rows if n - lo > chunk_rows + 1 else n
             skip = lo // order if symmetric else 0
             width = (q - skip) * order

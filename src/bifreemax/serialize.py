@@ -14,16 +14,16 @@ with header ``x,y,value`` in row-major order; all floats use round-trip
 artifacts.
 
 ``dump_json`` writes exactly the bytes of ``json.dump(obj, fh, indent=2)``
-followed by a newline, and lays the object out itself.  Every float array
-of an artifact is formatted through one text table (``_Texts``): a flat
-list of floats, or a list of equal-length flat lists of floats, is
-formatted once per distinct value (told apart by bit pattern) with
+followed by a newline, and lays the object out itself.  A table, that is a
+list of equal-length flat lists of floats (a surface, the knot pair of a
+square grid, measure atoms), is formatted through one text table
+(``_Texts``): each distinct value once (told apart by bit pattern) with
 ``float.__repr__``, the text the stdlib encoder writes for a finite float,
-and each cell takes its text from the table.  Other flat lists go to the C
-encoder of ``json.dumps``.  ``surface_csv_lines`` takes its cells from the
-same table, and a caller that writes one surface as JSON and as CSV builds
-the table once and passes it to both writers in place of the values.  The
-CLI prints its CSV to stdout through the same line formatters.
+and each cell takes its text from the table.  Every flat list goes to the
+C encoder of ``json.dumps``.  ``surface_csv_lines`` takes its cells from
+the same table, and ``write_grid`` writes one grid DF as JSON and as CSV
+from one table of its values.  The CLI prints its CSV to stdout through
+the same line formatters.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "measure_from_obj",
     "load_json",
     "dump_json",
+    "write_grid",
     "from_json_obj",
     "write_surface_csv",
     "write_report_csv",
@@ -113,15 +114,13 @@ class _Texts:
 
 
 def _float_texts(items):
-    """The text table of a flat list of floats, or of a list of equal-length
-    non-empty flat lists of floats; None for any other non-empty list."""
-    cells = items
-    if isinstance(items[0], (list, tuple)):
-        width = len(items[0])
-        if not width or any(not isinstance(row, (list, tuple))
-                            or len(row) != width for row in items):
-            return None
-        cells = itertools.chain.from_iterable(items)
+    """The text table of a list of equal-length non-empty flat lists of
+    floats; None for any other non-empty list."""
+    width = len(items[0]) if isinstance(items[0], (list, tuple)) else 0
+    if not width or any(not isinstance(row, (list, tuple))
+                        or len(row) != width for row in items):
+        return None
+    cells = itertools.chain.from_iterable(items)
     if not all(issubclass(t, float) for t in set(map(type, cells))):
         return None
     return _Texts(items)
@@ -247,18 +246,13 @@ def _block(texts, pad):
 def _write_json(obj, write, pad):
     """Write ``obj`` as ``json.dump(indent=2)`` does, at indent ``pad``.
 
-    A non-empty 1-D or 2-D ``_Texts`` stands for the nested lists of its
-    values."""
+    A non-empty 2-D ``_Texts`` stands for the nested lists of its values."""
     if isinstance(obj, (list, tuple)) and obj:
         obj = _float_texts(obj) or obj
     if isinstance(obj, _Texts):
-        rows = obj.rows(for_json=True)
-        if len(obj.shape) == 1:
-            write(_block(next(rows), pad))
-            return
         inner = pad + "  "
         sep = "[\n" + inner
-        for texts in rows:
+        for texts in obj.rows(for_json=True):
             write(sep + _block(texts, inner))
             sep = ",\n" + inner
         write("\n" + pad + "]")
@@ -301,6 +295,20 @@ def dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(obj, fh.write, "")
         fh.write("\n")
+
+
+def write_grid(F, json_path=None, csv_path=None):
+    """Write a ``GridBDF``'s ``grid2d`` JSON to ``json_path`` and its surface
+    CSV to ``csv_path``, where given, from one text table of its values: the
+    bytes of ``dump_json(bdf_to_obj(F))`` and ``write_surface_csv``, with
+    each distinct value formatted once for both files."""
+    if not (json_path or csv_path):
+        return
+    texts = _Texts(F.values)
+    if json_path:
+        dump_json(_grid2d_obj(F, texts), json_path)
+    if csv_path:
+        write_surface_csv(csv_path, F.xknots, F.yknots, texts)
 
 
 def surface_csv_lines(xs, ys, values):

@@ -1,5 +1,7 @@
-"""The CLI writes every grid artifact through one writer, ``cli._write_grid``,
-and refuses a tolerance that could cover nothing on every ``check``.
+"""The CLI writes every grid artifact through one writer,
+``serialize.write_grid`` (``cli._write_grid`` only resolves its paths under
+``--out-dir``), and refuses a tolerance that could cover nothing on every
+``check``.
 
 ``experiment compound-poisson --limit-output`` builds its text table from
 the limit grid's array: the bytes are those of the list path

@@ -115,6 +115,19 @@ def test_non_ratio_verdicts_match_the_list_oracle(C, grid_n, mode):
         _outcome(oracle_check_maxid_coupling, C, mode=mode, grid_n=grid_n)
 
 
+def test_infinite_stencil_probes_fail_without_a_warning():
+    # f is +inf on both probes of the first df/du stencil: their difference
+    # is NaN, which fails the check, and no RuntimeWarning is raised
+    C = SurvivalCopula(power_transform(AMHCopula(-1.0), 0.5))
+    verdict = check_maxid_coupling(C, mode="smooth", grid_n=3)
+    assert not verdict.member
+    assert verdict.witness.check == "df/du lower"
+    assert verdict.witness.point == (2e-05, 2e-05)
+    assert np.isnan(verdict.witness.quantity)
+    assert repr(verdict) == repr(
+        oracle_check_maxid_coupling(C, mode="smooth", grid_n=3))
+
+
 def test_grid_n_keys_the_axes_as_an_integer():
     # an integer numpy scalar shares the int's axes; a float stays refused
     # once the int's axes are cached

@@ -1,6 +1,8 @@
-"""The text table behind the artifact writers: each distinct float formatted
-once, the same bytes as the stdlib JSON encoder and the per-cell CSV writer,
-and no more memory than the per-value writer it replaced."""
+"""The text table behind the artifact writers: each distinct float of a
+table formatted once, the same bytes as the stdlib JSON encoder and the
+per-cell CSV writer, and no more memory than the per-value writer it
+replaced.  Flat float lists build no table, and ``write_grid`` builds one
+table for a grid's JSON and CSV together."""
 
 import contextlib
 import io
@@ -8,6 +10,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,6 +27,7 @@ from bifreemax import (
 from bifreemax import cli
 from bifreemax import convolution as cv
 from bifreemax import gaussian as ga
+from bifreemax import serialize
 from bifreemax.serialize import (
     _grid2d_obj,
     _Texts,
@@ -31,6 +35,7 @@ from bifreemax.serialize import (
     dump_json,
     load_json,
     udf_to_obj,
+    write_grid,
     write_surface_csv,
 )
 
@@ -130,6 +135,87 @@ def test_nonfinite_spellings(tmp_path):
         "0.0,0.0,nan", "0.0,1.0,inf", "1.0,0.0,-inf", "1.0,1.0,-0.0"]
     text = _dumped(tmp_path / "s.json", {"values": vals.tolist()})
     assert "NaN" in text and "-Infinity" in text and "nan" not in text
+
+
+# ---------------------------------------------------------------------------
+# flat float lists go to the C encoder, and build no table
+# ---------------------------------------------------------------------------
+
+def _spy_on_tables(mp):
+    """Record the shape of every text table built while ``mp`` is active."""
+    built = []
+
+    class Spy(serialize._Texts):
+        __slots__ = ()
+
+        def __init__(self, values):
+            built.append(np.shape(values))
+            super().__init__(values)
+
+    mp.setattr(serialize, "_Texts", Spy)
+    return built
+
+
+@pytest.mark.parametrize("obj, tables", [
+    ({"lower": [0.1, 0.2]}, []),
+    ([-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")], []),
+    ({"kind": "grid", "L": None, "knots": [0.0, 1.0], "values": [0.0, 1.0],
+      "saturation": 1.0}, []),
+    ({"ragged": [[0.5, -0.0], [1e16]], "tuple": (5e-324, float("nan"))},
+     []),
+    ({"pair": [[0.1, 0.2], [0.3, 0.4]]}, [(2, 2)]),
+])
+def test_only_tables_build_a_text_table(tmp_path, monkeypatch, obj, tables):
+    built = _spy_on_tables(monkeypatch)
+    assert _dumped(tmp_path / "v.json", obj) == _stdlib_json(obj)
+    assert built == tables
+
+
+# ---------------------------------------------------------------------------
+# write_grid: a grid's JSON and CSV from one table
+# ---------------------------------------------------------------------------
+
+def _coupled_grid():
+    coupled = CoupledBDF(AMHCopula(0.4), uniform_df(0.0, 1.5),
+                         exponential_free_df(1.0))
+    return materialize(coupled, np.linspace(-0.1, 1.6, 9),
+                       np.linspace(0.0, 4.0, 7))
+
+
+@pytest.mark.parametrize("G, knot_tables", [
+    (_coupled_grid(), []),
+    # equal knot counts make the knot pair a table of its own
+    (ga.cdf_grid(0.3, resolution=21), [(2, 21)]),
+])
+def test_write_grid_builds_one_table_for_both_files(tmp_path, monkeypatch, G,
+                                                    knot_tables):
+    dump_json(bdf_to_obj(G), tmp_path / "ref.json")
+    write_surface_csv(tmp_path / "ref.csv", G.xknots, G.yknots, G.values)
+    built = _spy_on_tables(monkeypatch)
+    write_grid(G, tmp_path / "G.json", tmp_path / "G.csv")
+    assert built == [G.values.shape] + knot_tables
+    assert (tmp_path / "G.json").read_bytes() == \
+        (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "G.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_grid_writes_only_the_files_it_is_given(tmp_path, monkeypatch):
+    G = _coupled_grid()
+    dump_json(bdf_to_obj(G), tmp_path / "ref.json")
+    write_surface_csv(tmp_path / "ref.csv", G.xknots, G.yknots, G.values)
+    built = _spy_on_tables(monkeypatch)
+    write_grid(G)
+    assert built == []
+    write_grid(G, json_path=tmp_path / "a.json")
+    write_grid(G, csv_path=tmp_path / "b.csv")
+    assert built == [G.values.shape] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.json", "b.csv", "ref.csv", "ref.json"]
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ do runs that could cover nothing: an empty or non-positive ``--ns``,
 ``--grid`` below 3 for ``check copula`` or below 2 for ``check
 copula-axioms``, a negative or NaN ``--tol`` for any ``check``, ``check
 maxid`` with neither a spec nor ``--gaussian``,
-``experiment compound-poisson`` with ``--max-log2`` below 1 or a NaN or
-non-positive ``--lam``, and ``gaussian
+``build from-measure --lower`` and ``experiment compound-poisson --p``
+without two finite coordinates, ``experiment compound-poisson`` with
+``--max-log2`` below 1 or a NaN or non-positive ``--lam``, and ``gaussian
 density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
 ``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A
 ``gaussian`` correlation that is NaN or has |c| >= 1 (except for
@@ -28,6 +29,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -71,6 +73,19 @@ _EXIT = {"yes": 0, "member": 0, "maxid": 0, "pass": 0,
 
 def _floats(text):
     return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _point(text, flag):
+    """The two finite coordinates x,y of ``text``, else a SpecError that
+    names ``flag``."""
+    try:
+        xy = _floats(text)
+    except ValueError:
+        xy = []
+    if len(xy) != 2 or not all(map(math.isfinite, xy)):
+        raise SpecError(f"{flag} needs two finite coordinates x,y, "
+                        f"got {text!r}")
+    return xy
 
 
 def _ints(text):
@@ -233,10 +248,7 @@ def _cmd_check(args):
 def _cmd_build(args):
     if args.what == "from-measure":
         tau = parse_measure(args.spec)
-        lower = _floats(args.lower)
-        if len(lower) != 2:
-            raise SpecError("--lower needs two coordinates x,y")
-        F = cv.from_exponent_measure(tau, lower)
+        F = cv.from_exponent_measure(tau, _point(args.lower, "--lower"))
         grid = materialize(F, F.marginal1.knots, F.marginal2.knots)
     else:  # coupled
         C = parse_copula(args.spec)
@@ -293,7 +305,7 @@ def _cmd_experiment(args):
     rows = []
     if args.what == "compound-poisson":
         nu = parse_measure(args.nu)
-        p = _floats(args.p)
+        p = _point(args.p, "--p")
         ns = [2 ** k for k in range(1, args.max_log2 + 1)]
         limit, report = cv.compound_poisson_limit(args.lam, nu, p, ns=ns)
         rows = [(n, "sup_distance", d)

@@ -42,14 +42,13 @@ from .distributions import (
     UnivariateDF,
     _CHUNK,
     _cell_volumes,
+    _lattice_sums,
     _nan_queries,
     _probe_grid,
     _pointwise,
     _ratio,
     _require_tol,
     _worst,
-    bdf_from_law,
-    grid_probe,
     law_from_bdf,
     ones_df,
 )
@@ -543,7 +542,7 @@ def eventually_decreasing(values):
     rising = np.nonzero(np.diff(v) > 1e-12)[0]
     if rising.size == 0:
         return True
-    return rising[-1] + 1 <= (v.size - 1) // 2
+    return bool(rising[-1] + 1 <= (v.size - 1) // 2)
 
 
 def compound_poisson_limit(lam, nu, p, ns=None):
@@ -552,21 +551,34 @@ def compound_poisson_limit(lam, nu, p, ns=None):
 
     ``nu`` is a planar probability law given as a :class:`DiscreteMeasure`
     (or a grid DF, converted to its atomic law).  Returns the limit DF
-    ``MeasureBDF(nu, p).power(lam)``, built from ``tau = lam * nu`` with
-    lower corner ``L_j = max(p_j, inf{F_nu_j > 1 - 1/lam})`` for lam > 1 and
-    ``p`` otherwise, and a report of sup-distances along the ``ns`` ladder,
-    a strictly increasing sequence of integers n >= lam, probed on the
-    atoms' coordinates, their midpoints and points below and beyond them.
-    The limit is evaluated on the probe once, not once per n.
+    ``MeasureBDF(nu.scaled(lam), L)``, built once, with lower corner ``L_j =
+    max(p_j, inf{F_nu_j > 1 - 1/lam})`` for lam > 1 and ``L = p`` otherwise
+    (the law of ``MeasureBDF(nu, p).power(lam)``), and a report of
+    sup-distances along the ``ns`` ladder, a strictly increasing sequence
+    of integers n >= lam.
 
-    The rungs are read off the step DF of ``nu``, built once, by linearity.
-    On the probe, rung n with s = lam/n has the DF ``f = (1 - s)*1{x >= p}
-    + s*F_nu`` and the marginals ``f_j`` likewise; where its step DF
-    saturates to 1, so do these, as ``s + (1 - s)`` rounds to 1 for every s
-    in [0, 1].  The n-th power of the rung is ``H1*H2/Q_n`` with ``H_j =
-    (n*f_j + 1 - n)_+`` and ``Q_n = 1 + n*(f1*f2/f - 1)``, by the rules of
-    :func:`free_power` and :class:`PowerBDF`, and 0 where H1*H2 = 0 or
-    f = 0.  No step DF or power is built per rung.
+    Rung n, with s = lam/n, and the limit are step DFs on the knot lattice,
+    per axis the atoms' coordinates and p, so their greatest gap sits on its
+    knots.  Every rung is read off one set of quadrant sums of nu there,
+    each a sum of atom masses, never taken as 1 - F: the tails a_j =
+    nu(X_j > x_j), b = nu(X1 > x1, X2 > x2), c1 = nu(X1 <= x1, X2 > x2) and
+    c2 = nu(X1 > x1, X2 <= x2).  On x >= p the rung's marginals and the
+    limit's are ``H_j = (1 - lam*a_j)_+`` (the rule of :func:`free_power`),
+    the limit is ``H1*H2/D`` with ``D = 1 - lam*b``, and the ratio of the
+    rung, by the scaling of :class:`PowerBDF`, exceeds D by
+    ``e/(1 - s*b_R)`` with ``e = lam*s*c1*c2`` and ``b_R = b + c1 + c2``.
+    So the gap is, with no cancellation,
+
+        H1*H2*e / (D*(D*(1 - s*b_R) + e)),
+
+    a few ulps from exact at every n but for the one rounding of lam*a_j in
+    a small H_j, and ``n*gap -> lam**2*H1*H2*c1*c2/D**2``.  Off x >= p the
+    limit is 0, and so is rung n >= lam + 1.  The one rung with n < lam + 1
+    may be positive there; its value is the n-th power of the rung's DF ``f
+    = (1 - s)*1{x >= p} + s*F_nu`` on the knots: ``H1*H2/Q_n`` with ``H_j =
+    (n*f_j + 1 - n)_+`` and ``Q_n = 1 + n*(f1*f2/f - 1)``, and 0 where
+    H1*H2 = 0 or f = 0.  No step DF or power is built per rung, and the
+    limit is not evaluated.
     """
     if not lam > 0:
         raise ValueError("rate must be positive")
@@ -587,49 +599,92 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     if any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
 
-    limit = MeasureBDF(nu, p).power(lam)
+    knots = [np.unique(np.append(nu.points[:, a], v)) for a, v in enumerate(p)]
+    # each atom's knot index per axis, and p's
+    cell = [k.searchsorted(nu.points[:, a]) for a, k in enumerate(knots)]
+    i1, i2 = (int(k.searchsorted(v)) for k, v in zip(knots, p))
 
-    probe = []
-    for a in range(2):
-        c = np.unique(np.concatenate([nu.points[:, a], [p[a], limit.lower[a]]]))
-        mids = 0.5 * (c[:-1] + c[1:])
-        probe.append(np.unique(np.concatenate(
-            [c, mids, [c[0] - 0.5, c[-1] + 0.5, c[-1] + 1.5]])))
+    def mass(*quadrant):
+        """nu of the quadrant at each knot, ``(axis, above)`` per axis: the
+        atoms strictly above the knot on an axis marked above, else those
+        at or below it.  An above axis numbers its cells from the top, as
+        ``DiscreteMeasure._mass_above`` does, so its sums run from there and
+        knot i reads the cell below it, which holds no atom of its own."""
+        cells, shape, read = [], [], []
+        for axis, above in quadrant:
+            m = knots[axis].size
+            cells.append(m - cell[axis] if above else cell[axis])
+            shape.append(m + 1 if above else m)
+            read.append(slice(m - 1, None, -1) if above else slice(None))
+        return _lattice_sums(tuple(cells), tuple(shape), nu.masses)[tuple(read)]
 
-    # sup_distance against the limit's values on the probe
-    x1, x2 = grid_probe(*probe)
-    target = limit.eval(x1, x2)
-    # F_nu and its marginals on the probe, read once for every rung
-    step = bdf_from_law(nu)
-    g = step.eval(x1, x2)
-    g1, g2 = step.marginal1.eval(probe[0]), step.marginal2.eval(probe[1])
-    # per axis, the first probe index at or above p
-    at = [k.searchsorted(q) for k, q in zip(probe, p)]
+    a1, a2 = mass((0, True)), mass((1, True))
+    # inf{F_nu_j > 1 - 1/lam}, the float of MeasureBDF(nu, p).power(lam):
+    # 1 - a_j is nondecreasing and reaches 1 at the last knot
+    corner = p if lam <= 1.0 else tuple(
+        max(v, float(k[np.searchsorted(1.0 - a, 1.0 - 1.0 / lam, "right")]))
+        for v, k, a in zip(p, knots, (a1, a2)))
+    limit = MeasureBDF(nu.scaled(lam), corner)
+
+    # the closed form on the knots x >= p where H1*H2 > 0
+    b = mass((0, True), (1, True))[i1:, i2:]
+    c1 = mass((0, False), (1, True))[i1:, i2:]
+    c2 = mass((0, True), (1, False))[i1:, i2:]
+    h = np.multiply.outer(np.maximum(1.0 - lam * a1[i1:], 0.0),
+                          np.maximum(1.0 - lam * a2[i2:], 0.0))
+    d = 1.0 - lam * b
+    # D >= H_j > 0 where the total mass is 1; in floats it may not be
+    live = h > 0
+    live &= d > 0
+    d = d[live]
+    target = h[live] / d
+    b_r = b[live] + c1[live] + c2[live]
+    c12 = c1[live] * c2[live]
     dists = []
-    # f1*f2/f and n*Q may overflow where f is subnormal; H is 0 there
-    with np.errstate(over="ignore"):
-        for n in ns:
-            s = lam / n
-            f1, f2, f = s * g1, s * g2, s * g
-            f1[at[0]:] += 1.0 - s
-            f2[at[1]:] += 1.0 - s
-            f[at[0]:, at[1]:] += 1.0 - s
-            # PowerBDF._q on the step's ratio, then RatioBDF._eval
-            q = np.multiply.outer(f1, f2)
-            q = _ratio(q, f, f > 0, np.inf, out=q)
-            q -= 1.0
-            q *= n
-            q += 1.0
-            h1 = np.clip(n * f1 + (1.0 - n), 0.0, 1.0)
-            h2 = np.clip(n * f2 + (1.0 - n), 0.0, 1.0)
-            h = np.multiply.outer(h1, h2)
-            live = np.isfinite(q)
-            live &= h > 0
-            h = _ratio(h, q, live, 0.0, out=h)
-            h -= target
-            dists.append(float(np.max(np.abs(h, out=h))))
+    for n in ns:
+        s = lam / n
+        e = c12 * (lam * s)
+        den = b_r * s
+        np.subtract(1.0, den, out=den)
+        den *= d
+        den += e
+        e *= target
+        # den >= e > 0 where e > 0; at s = 1 a rounded b_R may make den 0
+        np.divide(e, den, out=e, where=den > 0)
+        dist = float(e.max(initial=0.0))
+        if n < lam + 1 and (i1 or i2):
+            dist = max(dist, _rung_off_corner(
+                n, s, mass((0, False), (1, False)), i1, i2))
+        dists.append(dist)
     report = CompoundPoissonReport(tuple(ns), tuple(dists), dists[-1])
     return limit, report
+
+
+def _rung_off_corner(n, s, g, i1, i2):
+    """The greatest value off x >= p of the n-th power of rung n < lam + 1,
+    where the limit is 0: ``H1*H2/Q_n`` with ``H_j = (n*f_j + 1 - n)_+`` and
+    ``Q_n = 1 + n*(f1*f2/f - 1)`` for the rung's DF ``f = (1 - s)*1{x >= p}
+    + s*F_nu`` on the knots, 0 where H1*H2 = 0 or f = 0; ``g`` is F_nu on
+    the knots, and p is knot (i1, i2)."""
+    f1, f2, f = s * g[:, -1], s * g[-1], s * g
+    f1[i1:] += 1.0 - s
+    f2[i2:] += 1.0 - s
+    f[i1:, i2:] += 1.0 - s
+    # f1*f2/f and n*Q may overflow where f is subnormal; H is 0 there
+    with np.errstate(over="ignore"):
+        # PowerBDF._q on the rung's ratio, then RatioBDF._eval
+        q = np.multiply.outer(f1, f2)
+        q = _ratio(q, f, f > 0, np.inf, out=q)
+        q -= 1.0
+        q *= n
+        q += 1.0
+        h1 = np.clip(n * f1 + (1.0 - n), 0.0, 1.0)
+        h2 = np.clip(n * f2 + (1.0 - n), 0.0, 1.0)
+        h = np.multiply.outer(h1, h2)
+        live = np.isfinite(q)
+        live &= h > 0
+        h = _ratio(h, q, live, 0.0, out=h)
+    return float(max(h[:i1].max(initial=0.0), h[:, :i2].max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

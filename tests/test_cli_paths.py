@@ -62,6 +62,41 @@ def test_refused_with_exit_four(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["0", "0,0,0", "0,nan", "inf,0", "a,b", ""])
+def test_compound_poisson_refuses_a_corner_without_two_finite_coordinates(
+        p, capsys):
+    assert main(["experiment", "compound-poisson", "--lam", "0.5", "--nu",
+                 "dirac:1,1", "--p", p]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --p ")
+
+
+def test_doa_copula_summary_is_json(tmp_path, capsys):
+    # the series rises somewhere, so eventually_decreasing once returned a
+    # numpy bool that the JSON summary could not hold
+    summary = tmp_path / "s.json"
+    assert main(["experiment", "doa-copula", "amh:0.5", "--pickands",
+                 "logistic:m=3", "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["eventually_decreasing"] is False
+
+
+def test_dirac_ladder_to_two_to_the_fifty_six(tmp_path, capsys):
+    # every rung of one atom is its limit, also past n = 2^53
+    summary, rows = tmp_path / "s.json", tmp_path / "cp.csv"
+    assert main(["experiment", "compound-poisson", "--lam", "1", "--nu",
+                 "dirac:1,1", "--p", "0,0", "--max-log2", "56", "-o",
+                 str(rows), "--summary", str(summary)]) == 0
+    with open(rows, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))[1:]
+    assert [int(r[0]) for r in table] == [2 ** k for k in range(1, 57)]
+    assert all(r[2] == "0.0" for r in table)
+    s = json.loads(summary.read_text())
+    assert s["final"] == 0.0 and s["eventually_decreasing"] is True
+
+
 def test_module_entry_point():
     src = os.path.dirname(os.path.dirname(bifreemax.__file__))
     env = dict(os.environ, PYTHONPATH=src)

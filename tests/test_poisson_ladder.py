@@ -1,17 +1,18 @@
-"""The compound-Poisson ladder read by linearity.
+"""The compound-Poisson ladder read off one set of quadrant sums of nu.
 
 Rung n of ``compound_poisson_limit`` is the law (1 - s)*delta_p + s*nu with
-s = lam/n.  Its DF and marginals on the probe are affine in s between
-1{x >= p} and F_nu, so the ladder reads the step DF of nu once and builds
-no step DF or power per rung.  Against the per-rung oracle (the power of
-each rung's own step DF) the distances agree to 1e-13 on rungs up to 64,
-where the two summation orders round within a few n ulps of each other.
+s = lam/n.  Its gap to the limit on the knot lattice has a closed form in
+the masses of nu's quadrants, so the ladder builds no step DF of nu and no
+step DF or power per rung, and the limit is built once.  Against the
+per-rung oracle (the power of each rung's own step DF) the distances agree
+to 1e-13 on rungs up to 64, where the oracle rounds within a few n ulps.
 The limit, its lower corner and its ``--limit-output`` bytes keep the bits
 they had when every rung was built.
 """
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_a_single_atom_is_its_limit_at_every_rung(p, offset, num, log2_den):
 
 
 # ---------------------------------------------------------------------------
-# one read of F_nu per call
+# one set of quadrant sums per call, and the limit built once
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("as_grid", [False, True])
@@ -142,8 +143,12 @@ def test_one_step_df_and_no_power_whatever_the_ladder(monkeypatch, as_grid):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cv, "bdf_from_law",
-                        counting("bdf_from_law", cv.bdf_from_law))
+    # every module of the package that binds bdf_from_law
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "bifreemax"
+                   and hasattr(m, "bdf_from_law")]:
+        monkeypatch.setattr(module, "bdf_from_law",
+                            counting("bdf_from_law", module.bdf_from_law))
     monkeypatch.setattr(cv.PowerBDF, "__init__",
                         counting("PowerBDF", cv.PowerBDF.__init__))
     monkeypatch.setattr(GridUDF, "__init__",
@@ -153,12 +158,12 @@ def test_one_step_df_and_no_power_whatever_the_ladder(monkeypatch, as_grid):
         for name in counts:
             counts[name] = 0
         compound_poisson_limit(0.7, given_nu, (0.0, 0.0), ns=ns)
-        assert counts["bdf_from_law"] == 1
+        assert counts["bdf_from_law"] == 0
         assert counts["PowerBDF"] == 0
         seen.append(counts["GridUDF"])
-    # two marginals each of MeasureBDF(nu, p), of its power and of F_nu,
-    # whatever the number of rungs
-    assert seen == [6, 6, 6]
+    # the two marginals of the limit, whatever the number of rungs: no step
+    # DF of nu and no MeasureBDF(nu, p) to be powered
+    assert seen == [2, 2, 2]
 
 
 # ---------------------------------------------------------------------------

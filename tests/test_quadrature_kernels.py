@@ -3,10 +3,11 @@
 ``tensor_cells`` contracts each block with two BLAS products on the reference
 Gauss-Legendre weights and scales by the panel half-widths once; the einsum
 over the scaled weights it replaces is kept here as an oracle and must agree
-within 4 ulp of each cell's magnitude.  ``gaussian._weighted_kernel`` forms
-and reciprocates its block in row chunks, with the bits of one product over
-the whole block.  ``adaptive_panels`` integrates both halves of a split by
-one integrand call, with the bits of the two-call loop it replaces.
+within 4 ulp of each cell's magnitude.  ``gaussian._chunked_kernel`` forms,
+reciprocates and contracts its block in chunks of rows, with the bits of
+one product and one contraction over the whole block.  ``adaptive_panels``
+integrates both halves of a split by one integrand call, with the bits of
+the two-call loop it replaces.
 """
 
 import math
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifreemax import gaussian, quadrature
-from bifreemax.gaussian import (_phi_edges_from_knots, _weight,
-                                _weighted_kernel, kernel_denominator)
+from bifreemax.gaussian import (_chunked_kernel, _phi_edges_from_knots,
+                                _weight, _weighted_kernel, kernel_denominator)
 from bifreemax.quadrature import adaptive_panels, panel_nodes, tensor_cells
 
 EPS = np.finfo(np.float64).eps
@@ -174,30 +175,38 @@ def test_one_block_live_at_a_time():
 # the Gaussian integrand: row chunks, the bits of one product
 # ---------------------------------------------------------------------------
 
-# (x-panels, order) and (y-panels, order): a chunk holds
-# max(2, _CHUNK // (y-panels * order)) rows of the block, the last chunk
-# also takes a single row left over
+# (x-panels, order) and (y-panels, order): a chunk of ``_chunked_kernel``
+# holds 4*max(1, _CHUNK // (4 * y-panels * order)) rows of x-nodes, and the
+# last chunk also takes a single row left over
 SHAPES = [
     ((50, 16), (30, 16)),     # 68 rows a chunk, 800 rows
     ((7, 16), (161, 16)),     # 12 rows a chunk, 112 rows
-    ((33, 24), (23, 24)),     # 59 rows a chunk, 792 rows
-    ((4, 3), (3000, 23)),     # rows longer than a chunk: two rows each
-    ((5, 3), (2000, 23)),     # the same, and one row left over
+    ((33, 24), (23, 24)),     # 56 rows a chunk, 792 rows
+    ((4, 3), (3000, 23)),     # rows longer than a chunk: four rows each
+    ((3, 3), (2000, 23)),     # the same, and one row left over
     ((1, 24), (23, 24)),      # one chunk
     ((1, 1), (4000, 23)),     # one row: a matrix-vector product
 ]
+
+
+def one_shot_rows(c, scale, phi, psi, w):
+    """The row sums of ``block_rows``: the one-shot product over the block,
+    contracted over the y-nodes of each y-panel by one product."""
+    vals = one_shot_kernel(c, scale)(phi[:, :, None, None], psi[None, None])
+    return (vals.reshape(-1, w.size) @ w).reshape(phi.size, psi.shape[0])
 
 
 @pytest.mark.parametrize("c", [-0.95, -0.3, -1e-8, 1e-8, 0.4, 0.95])
 @pytest.mark.parametrize("xs, ys", SHAPES)
 def test_chunked_integrand_is_the_one_shot_product(c, xs, ys):
     rng = np.random.default_rng(21)
-    phi = rng.uniform(-1.57, 1.57, xs + (1, 1))
-    psi = rng.uniform(-1.57, 1.57, (1, 1) + ys)
+    phi = rng.uniform(-1.57, 1.57, xs)
+    psi = rng.uniform(-1.57, 1.57, ys)
+    w = rng.uniform(0.1, 1.0, ys[1])
     scale = (1.0 - c * c) / (4.0 * math.pi ** 2)
-    got = _weighted_kernel(c, scale)(phi, psi)
-    assert got.shape == xs + ys
-    assert np.array_equal(got, one_shot_kernel(c, scale)(phi, psi))
+    got = _chunked_kernel(c, scale).block_rows(phi, psi, w, False)
+    assert got.shape == (phi.size, ys[0])
+    assert np.array_equal(got, one_shot_rows(c, scale, phi, psi, w))
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,12 +214,13 @@ def test_chunked_integrand_is_the_one_shot_product(c, xs, ys):
        st.floats(-0.95, 0.95))
 def test_small_chunks_match_one_chunk(nx, ny, chunk, c):
     rng = np.random.default_rng(nx * 41 + ny)
-    phi = rng.uniform(-1.57, 1.57, (nx, 4, 1, 1))
-    psi = rng.uniform(-1.57, 1.57, (1, 1, ny, 4))
+    phi = rng.uniform(-1.57, 1.57, (nx, 4))
+    psi = rng.uniform(-1.57, 1.57, (ny, 4))
+    w = rng.uniform(0.1, 1.0, 4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gaussian, "_CHUNK", chunk)
-        got = _weighted_kernel(c, 1.0)(phi, psi)
-    assert np.array_equal(got, one_shot_kernel(c, 1.0)(phi, psi))
+        got = _chunked_kernel(c, 1.0).block_rows(phi, psi, w, False)
+    assert np.array_equal(got, one_shot_rows(c, 1.0, phi, psi, w))
 
 
 def test_empty_block():

@@ -13,14 +13,17 @@ copula-axioms``, a negative or NaN ``--tol`` for any ``check``, ``check
 maxid`` with neither a spec nor ``--gaussian``,
 ``build from-measure --lower`` and ``experiment compound-poisson --p``
 without two finite coordinates, ``experiment compound-poisson`` with
-``--max-log2`` below 1 or a NaN or non-positive ``--lam``, and ``gaussian
+``--max-log2`` below 1 or a NaN or non-positive ``--lam``, ``experiment
+doa-copula`` and ``max-stable`` with ``--probe`` below 2, and ``gaussian
 density`` or ``gaussian cdf`` with ``--resolution`` below 2, or for
 ``gaussian cdf`` too coarse to resolve the kernel near |c| = 1.  A
 ``gaussian`` correlation that is NaN or has |c| >= 1 (except for
 ``verdict``, which decides c = -1 and c = 1) and a non-finite or
 out-of-square ``identity --xs`` point exit 4 too (argparse usage errors
-keep the stdlib exit code 2).  ``check maxid --gaussian C`` decides with
-its own 1e-8 witness margin, not ``--tol``.
+keep the stdlib exit code 2).  A JSON file that is not a well-formed
+grid, ``grid2d`` or measure object, or a grid DF file that fails
+``GridBDF.validate``, exits 4 too.  ``check maxid --gaussian C`` decides
+with its own 1e-8 witness margin, not ``--tol``.
 """
 
 from __future__ import annotations
@@ -303,6 +306,10 @@ def _dyadic(n_max):
 
 def _cmd_experiment(args):
     rows = []
+    # one probe point per axis would compare the laws at u = 0 alone
+    if getattr(args, "probe", 2) < 2:
+        raise SpecError(f"--probe needs at least 2 points per axis, "
+                        f"got {args.probe}")
     if args.what == "compound-poisson":
         nu = parse_measure(args.nu)
         p = _point(args.p, "--p")

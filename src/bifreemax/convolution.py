@@ -49,6 +49,7 @@ from .distributions import (
     _ratio,
     _require_tol,
     _worst,
+    bdf_from_law,
     law_from_bdf,
     ones_df,
 )
@@ -574,11 +575,10 @@ def compound_poisson_limit(lam, nu, p, ns=None):
     a few ulps from exact at every n but for the one rounding of lam*a_j in
     a small H_j, and ``n*gap -> lam**2*H1*H2*c1*c2/D**2``.  Off x >= p the
     limit is 0, and so is rung n >= lam + 1.  The one rung with n < lam + 1
-    may be positive there; its value is the n-th power of the rung's DF ``f
-    = (1 - s)*1{x >= p} + s*F_nu`` on the knots: ``H1*H2/Q_n`` with ``H_j =
-    (n*f_j + 1 - n)_+`` and ``Q_n = 1 + n*(f1*f2/f - 1)``, and 0 where
-    H1*H2 = 0 or f = 0.  No step DF or power is built per rung, and the
-    limit is not evaluated.
+    may be positive there: its value is :func:`bifree_power` of the rung's
+    own step DF, ``bdf_from_law`` of ``(1 - s)*delta_p + s*nu``, on the same
+    knots.  No other rung builds a step DF or a power, and the limit is not
+    evaluated.
     """
     if not lam > 0:
         raise ValueError("rate must be positive")
@@ -651,40 +651,17 @@ def compound_poisson_limit(lam, nu, p, ns=None):
         e *= target
         # den >= e > 0 where e > 0; at s = 1 a rounded b_R may make den 0
         np.divide(e, den, out=e, where=den > 0)
-        dist = float(e.max(initial=0.0))
+        dist = e.max(initial=0.0)
         if n < lam + 1 and (i1 or i2):
-            dist = max(dist, _rung_off_corner(
-                n, s, mass((0, False), (1, False)), i1, i2))
-        dists.append(dist)
+            rung = DiscreteMeasure(np.vstack([nu.points, p]),
+                                   np.append(s * nu.masses, 1.0 - s))
+            g = bifree_power(bdf_from_law(rung), n).eval(
+                knots[0][:, None], knots[1][None, :])
+            dist = max(dist, g[:i1].max(initial=0.0),
+                       g[:, :i2].max(initial=0.0))
+        dists.append(float(dist))
     report = CompoundPoissonReport(tuple(ns), tuple(dists), dists[-1])
     return limit, report
-
-
-def _rung_off_corner(n, s, g, i1, i2):
-    """The greatest value off x >= p of the n-th power of rung n < lam + 1,
-    where the limit is 0: ``H1*H2/Q_n`` with ``H_j = (n*f_j + 1 - n)_+`` and
-    ``Q_n = 1 + n*(f1*f2/f - 1)`` for the rung's DF ``f = (1 - s)*1{x >= p}
-    + s*F_nu`` on the knots, 0 where H1*H2 = 0 or f = 0; ``g`` is F_nu on
-    the knots, and p is knot (i1, i2)."""
-    f1, f2, f = s * g[:, -1], s * g[-1], s * g
-    f1[i1:] += 1.0 - s
-    f2[i2:] += 1.0 - s
-    f[i1:, i2:] += 1.0 - s
-    # f1*f2/f and n*Q may overflow where f is subnormal; H is 0 there
-    with np.errstate(over="ignore"):
-        # PowerBDF._q on the rung's ratio, then RatioBDF._eval
-        q = np.multiply.outer(f1, f2)
-        q = _ratio(q, f, f > 0, np.inf, out=q)
-        q -= 1.0
-        q *= n
-        q += 1.0
-        h1 = np.clip(n * f1 + (1.0 - n), 0.0, 1.0)
-        h2 = np.clip(n * f2 + (1.0 - n), 0.0, 1.0)
-        h = np.multiply.outer(h1, h2)
-        live = np.isfinite(q)
-        live &= h > 0
-        h = _ratio(h, q, live, 0.0, out=h)
-    return float(max(h[:i1].max(initial=0.0), h[:, :i2].max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

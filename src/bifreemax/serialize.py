@@ -152,11 +152,56 @@ def udf_to_obj(F, knots=None):
     }
 
 
+def _kind(obj, kind):
+    """``obj`` if it is a JSON object of ``kind``, else a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a {kind} object, got {type(obj).__name__}")
+    if obj.get("kind") != kind:
+        raise ValueError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
+    return obj
+
+
+def _field(obj, key, count=None):
+    """``obj[key]``, a list of ``count`` items where ``count`` is given; a
+    ValueError naming the kind and the key otherwise."""
+    if key not in obj:
+        raise ValueError(f"{obj['kind']} lacks key {key!r}")
+    value = obj[key]
+    if count is not None and not (isinstance(value, (list, tuple))
+                                  and len(value) == count):
+        got = len(value) if isinstance(value, (list, tuple)) \
+            else f"a {type(value).__name__}"
+        raise ValueError(f"{obj['kind']} {key!r} must hold {count} items, "
+                         f"got {got}")
+    return value
+
+
+def _numbers(value, ndim, where):
+    """``value``, nested lists of numbers, as a float array with ``ndim``
+    dimensions; a ValueError naming ``where`` otherwise."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged table
+        a = None
+    if a is None or a.dtype.kind not in "biuf" or a.ndim != ndim:
+        raise ValueError(f"{where} must be a {ndim}-D list of numbers")
+    return a.astype(float, copy=False)
+
+
+def _scalar(obj, key):
+    """``obj[key]``: a number, or None where null or absent."""
+    value = obj.get(key)
+    if not isinstance(value, (int, float, type(None))):
+        raise ValueError(f"{obj['kind']} {key!r} must be a number or null")
+    return value
+
+
 def udf_from_obj(obj):
-    if obj.get("kind") != "grid":
-        raise ValueError(f"expected kind 'grid', got {obj.get('kind')!r}")
-    return GridUDF(obj["knots"], obj["values"], support_lower=obj.get("L"),
-                   saturation=obj.get("saturation"))
+    _kind(obj, "grid")
+    return GridUDF(_numbers(_field(obj, "knots"), 1, "grid 'knots'"),
+                   _numbers(_field(obj, "values"), 1, "grid 'values'"),
+                   support_lower=_scalar(obj, "L"),
+                   saturation=_scalar(obj, "saturation"))
 
 
 def bdf_to_obj(F, xknots=None, yknots=None):
@@ -182,16 +227,15 @@ def _grid2d_obj(F, values):
 
 
 def bdf_from_obj(obj):
-    if obj.get("kind") != "grid2d":
-        raise ValueError(f"expected kind 'grid2d', got {obj.get('kind')!r}")
-    xk, yk = obj["knots"]
-    vals = np.asarray(obj["values"], dtype=float)
+    _kind(obj, "grid2d")
+    xk, yk = (_numbers(k, 1, "grid2d 'knots'")
+              for k in _field(obj, "knots", 2))
+    vals = _numbers(_field(obj, "values"), 2, "grid2d 'values'")
     if "marginals" in obj:
-        m1 = udf_from_obj(obj["marginals"][0])
-        m2 = udf_from_obj(obj["marginals"][1])
+        m1, m2 = map(udf_from_obj, _field(obj, "marginals", 2))
     else:
         # derive marginals from the outer row/column of the surface
-        if vals.ndim != 2 or vals.size == 0:
+        if vals.size == 0:
             raise ValueError("grid2d values must be a nonempty 2-D table")
         m1 = GridUDF(xk, vals[:, -1])
         m2 = GridUDF(yk, vals[-1, :])
@@ -205,13 +249,20 @@ def measure_to_obj(m: DiscreteMeasure):
 
 
 def measure_from_obj(obj):
-    if obj.get("kind") != "measure":
-        raise ValueError(f"expected kind 'measure', got {obj.get('kind')!r}")
-    return DiscreteMeasure.from_atoms(obj["atoms"])
+    atoms = _field(_kind(obj, "measure"), "atoms")
+    arr = np.zeros((0, 3)) if isinstance(atoms, list) and not atoms else \
+        _numbers(atoms, 2, "measure 'atoms'")
+    if arr.shape[1] != 3:
+        raise ValueError(f"measure atoms must be [x, y, mass] triples, "
+                         f"got {arr.shape[1]} fields")
+    return DiscreteMeasure(arr[:, :2], arr[:, 2])
 
 
 def from_json_obj(obj):
     """Dispatch a parsed JSON object on its ``kind`` field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with a kind, "
+                         f"got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "grid":
         return udf_from_obj(obj)

@@ -201,5 +201,7 @@ def parse_measure(text):
 
 def parse_bdf(text):
     if text.startswith("@") or text.endswith(".json"):
-        return _load(text.removeprefix("@"), ds.GridBDF, "bivariate grid DF")
+        # a file may hold any table; only a DF goes on to be judged
+        return _load(text.removeprefix("@"), ds.GridBDF,
+                     "bivariate grid DF").validate()
     return _lookup(_BDFS, "bivariate DF spec", text)

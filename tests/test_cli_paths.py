@@ -56,6 +56,10 @@ def test_compound_poisson_limit_output_reloads(tmp_path, capsys):
     (["experiment", "doa-copula", "amh:theta=0.5"], "--pickands"),
     (["experiment", "compound-poisson", "--lam", "0.5", "--nu", "dirac:1,1",
       "--max-log2", "0"], "at least one n"),
+    (["experiment", "max-stable", "logistic:m=2", "--marginal", "pareto:1",
+      "--probe", "1"], "--probe needs at least 2 points per axis, got 1"),
+    (["experiment", "doa-copula", "amh:0.5", "--pickands", "one",
+      "--probe", "0"], "--probe needs at least 2 points per axis, got 0"),
 ])
 def test_refused_with_exit_four(argv, message, capsys):
     assert main(argv) == 4
